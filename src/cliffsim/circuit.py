@@ -12,6 +12,7 @@ are ignored.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -92,9 +93,12 @@ def parse_circuit(text: str) -> Circuit:
         params = []
         for word, pcol in toks[1 + spec.wires :]:
             try:
-                params.append(float(word))
+                value = float(word)
             except ValueError:
                 raise CircuitError(f"invalid parameter {word!r}", lineno, pcol) from None
+            if not math.isfinite(value):
+                raise CircuitError(f"non-finite parameter {word!r}", lineno, pcol)
+            params.append(value)
         ops.append(GateOp(name, tuple(wires), tuple(params)))
     if n_qubits is None:
         raise CircuitError("empty circuit file, expected 'qubits N' header", 1)

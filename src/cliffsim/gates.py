@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .multivector import Multivector, exp_element
-from .witt import SpinorState, WittContext, basis_state, index_bits, is_spinor, spinor_inner
+from .multivector import Multivector
+from .witt import SpinorState, WittContext, basis_state, state_to_amplitudes
 
 UNITARY_TOL = 1e-10
 
@@ -27,7 +27,6 @@ __all__ = [
     "GATE_SPECS",
     "apply",
     "build_gate",
-    "exp_element",
     "gate_ccnot",
     "gate_cnot",
     "gate_cswap",
@@ -48,13 +47,12 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateElement:
-    """An algebra element used as an operator, with a cached unitarity verdict."""
+    """An algebra element used as an operator on n qubits."""
 
     n: int
     value: Multivector
-    _unitary: bool | None = field(default=None, repr=False, compare=False)
 
 
 def wire_coordinates(ctx: WittContext, factor: Multivector, k: int) -> tuple[complex, complex, complex, complex]:
@@ -123,10 +121,6 @@ def super_tensor(ctx: WittContext, factors: Sequence[Multivector | None]) -> Gat
     return GateElement(ctx.n, _super_words(ctx, present))
 
 
-def _embed(ctx: WittContext, wire_factors: dict[int, Multivector]) -> Multivector:
-    return _super_words(ctx, wire_factors)
-
-
 # -- local single-wire operators ------------------------------------------------
 
 
@@ -158,23 +152,23 @@ def gate_identity(ctx: WittContext) -> GateElement:
 
 
 def gate_x(ctx: WittContext, k: int) -> GateElement:
-    return GateElement(ctx.n, _embed(ctx, {k: _local_x(ctx, k)}))
+    return GateElement(ctx.n, _super_words(ctx, {k: _local_x(ctx, k)}))
 
 
 def gate_y(ctx: WittContext, k: int) -> GateElement:
-    return GateElement(ctx.n, _embed(ctx, {k: _local_y(ctx, k)}))
+    return GateElement(ctx.n, _super_words(ctx, {k: _local_y(ctx, k)}))
 
 
 def gate_z(ctx: WittContext, k: int) -> GateElement:
-    return GateElement(ctx.n, _embed(ctx, {k: _local_z(ctx, k)}))
+    return GateElement(ctx.n, _super_words(ctx, {k: _local_z(ctx, k)}))
 
 
 def gate_h(ctx: WittContext, k: int) -> GateElement:
-    return GateElement(ctx.n, _embed(ctx, {k: _local_h(ctx, k)}))
+    return GateElement(ctx.n, _super_words(ctx, {k: _local_h(ctx, k)}))
 
 
 def gate_phase(ctx: WittContext, k: int, phi: float) -> GateElement:
-    return GateElement(ctx.n, _embed(ctx, {k: _local_phase(ctx, k, phi)}))
+    return GateElement(ctx.n, _super_words(ctx, {k: _local_phase(ctx, k, phi)}))
 
 
 def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:
@@ -189,7 +183,7 @@ def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:
     if err > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
     local = a * ctx.proj0(k) + b * ctx.f(k) + c * ctx.fdag(k) + d * ctx.proj1(k)
-    return GateElement(ctx.n, _embed(ctx, {k: local}))
+    return GateElement(ctx.n, _super_words(ctx, {k: local}))
 
 
 def _check_distinct(ctx: WittContext, wires: Sequence[int]) -> None:
@@ -201,7 +195,7 @@ def _check_distinct(ctx: WittContext, wires: Sequence[int]) -> None:
 
 def gate_cnot(ctx: WittContext, control: int, target: int) -> GateElement:
     _check_distinct(ctx, (control, target))
-    value = _embed(ctx, {control: ctx.proj0(control)}) + _embed(
+    value = _super_words(ctx, {control: ctx.proj0(control)}) + _super_words(
         ctx, {control: ctx.proj1(control), target: _local_x(ctx, target)}
     )
     return GateElement(ctx.n, value)
@@ -209,7 +203,7 @@ def gate_cnot(ctx: WittContext, control: int, target: int) -> GateElement:
 
 def gate_cz(ctx: WittContext, control: int, target: int) -> GateElement:
     _check_distinct(ctx, (control, target))
-    value = _embed(ctx, {control: ctx.proj0(control)}) + _embed(
+    value = _super_words(ctx, {control: ctx.proj0(control)}) + _super_words(
         ctx, {control: ctx.proj1(control), target: _local_z(ctx, target)}
     )
     return GateElement(ctx.n, value)
@@ -218,10 +212,10 @@ def gate_cz(ctx: WittContext, control: int, target: int) -> GateElement:
 def gate_swap(ctx: WittContext, a: int, b: int) -> GateElement:
     _check_distinct(ctx, (a, b))
     value = (
-        _embed(ctx, {a: ctx.proj0(a), b: ctx.proj0(b)})
-        + _embed(ctx, {a: ctx.proj1(a), b: ctx.proj1(b)})
-        + _embed(ctx, {a: ctx.fdag(a), b: ctx.f(b)})
-        + _embed(ctx, {a: ctx.f(a), b: ctx.fdag(b)})
+        _super_words(ctx, {a: ctx.proj0(a), b: ctx.proj0(b)})
+        + _super_words(ctx, {a: ctx.proj1(a), b: ctx.proj1(b)})
+        + _super_words(ctx, {a: ctx.fdag(a), b: ctx.f(b)})
+        + _super_words(ctx, {a: ctx.f(a), b: ctx.fdag(b)})
     )
     return GateElement(ctx.n, value)
 
@@ -229,9 +223,9 @@ def gate_swap(ctx: WittContext, a: int, b: int) -> GateElement:
 def gate_ccnot(ctx: WittContext, c1: int, c2: int, target: int) -> GateElement:
     _check_distinct(ctx, (c1, c2, target))
     value = (
-        _embed(ctx, {c1: ctx.proj0(c1)})
-        + _embed(ctx, {c1: ctx.proj1(c1), c2: ctx.proj0(c2)})
-        + _embed(ctx, {c1: ctx.proj1(c1), c2: ctx.proj1(c2), target: _local_x(ctx, target)})
+        _super_words(ctx, {c1: ctx.proj0(c1)})
+        + _super_words(ctx, {c1: ctx.proj1(c1), c2: ctx.proj0(c2)})
+        + _super_words(ctx, {c1: ctx.proj1(c1), c2: ctx.proj1(c2), target: _local_x(ctx, target)})
     )
     return GateElement(ctx.n, value)
 
@@ -240,11 +234,11 @@ def gate_cswap(ctx: WittContext, control: int, t1: int, t2: int) -> GateElement:
     _check_distinct(ctx, (control, t1, t2))
     k = control
     value = (
-        _embed(ctx, {k: ctx.proj0(k)})
-        + _embed(ctx, {k: ctx.proj1(k), t1: ctx.proj0(t1), t2: ctx.proj0(t2)})
-        + _embed(ctx, {k: ctx.proj1(k), t1: ctx.proj1(t1), t2: ctx.proj1(t2)})
-        + _embed(ctx, {k: ctx.proj1(k), t1: ctx.fdag(t1), t2: ctx.f(t2)})
-        + _embed(ctx, {k: ctx.proj1(k), t1: ctx.f(t1), t2: ctx.fdag(t2)})
+        _super_words(ctx, {k: ctx.proj0(k)})
+        + _super_words(ctx, {k: ctx.proj1(k), t1: ctx.proj0(t1), t2: ctx.proj0(t2)})
+        + _super_words(ctx, {k: ctx.proj1(k), t1: ctx.proj1(t1), t2: ctx.proj1(t2)})
+        + _super_words(ctx, {k: ctx.proj1(k), t1: ctx.fdag(t1), t2: ctx.f(t2)})
+        + _super_words(ctx, {k: ctx.proj1(k), t1: ctx.f(t1), t2: ctx.fdag(t2)})
     )
     return GateElement(ctx.n, value)
 
@@ -272,22 +266,15 @@ def apply(g: GateElement, state: SpinorState) -> SpinorState:
 
 
 def is_unitary(g: GateElement, tol: float = UNITARY_TOL) -> bool:
-    """Checks g^dagger g = 1 and g g^dagger = 1; verdict is cached."""
-    if g._unitary is None:
-        one = Multivector.scalar(g.value.signature, 1.0)
-        dag = g.value.dagger()
-        g._unitary = (dag * g.value).isclose(one, tol) and (g.value * dag).isclose(one, tol)
-    return g._unitary
+    """Checks g^dagger g = 1 and g g^dagger = 1."""
+    one = Multivector.scalar(g.value.signature, 1.0)
+    dag = g.value.dagger()
+    return (dag * g.value).isclose(one, tol) and (g.value * dag).isclose(one, tol)
 
 
 def measure_probabilities(ctx: WittContext, state: SpinorState) -> list[float]:
     """Born-rule probabilities over the computational basis."""
-    if ctx.strict and not is_spinor(ctx, state.value):
-        raise ValueError("multivector is not in the spinor ideal")
-    return [
-        abs(spinor_inner(ctx, basis_state(ctx, index_bits(k, ctx.n)), state)) ** 2
-        for k in range(2 ** ctx.n)
-    ]
+    return [abs(a) ** 2 for a in state_to_amplitudes(ctx, state)]
 
 
 # -- registry -----------------------------------------------------------------------

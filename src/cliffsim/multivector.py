@@ -52,48 +52,30 @@ class Signature:
         return 1 if j <= self.p else -1
 
     @property
-    def is_euclidean(self) -> bool:
-        return self.q == 0
+    def neg_mask(self) -> int:
+        """Blade mask of the generators that square to -1."""
+        return ((1 << self.q) - 1) << self.p
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    """Sign from sorting the concatenation of two ascending blades."""
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return 1 if swaps % 2 == 0 else -1
+def _sign_mask(a: int, sig: Signature) -> int:
+    """Mask Q(a) with sign(a b) = (-1)^popcount(Q(a) & b) for every blade b.
 
-
-_sign_cache: dict[tuple[int, int], int] = {}
-
-
-def _reorder_sign_cached(a: int, b: int) -> int:
-    key = (a, b)
-    s = _sign_cache.get(key)
-    if s is None:
-        s = _reorder_sign(a, b)
-        _sign_cache[key] = s
-    return s
+    Bit j of the suffix parity P(a) is the parity of the bits of ``a`` above
+    j, i.e. of the transpositions that move b's generator j past a's higher
+    ones when the concatenated blades are sorted.  Each common generator that
+    squares to -1 contributes one more sign, hence Q(a) = P(a) ^ (a & neg).
+    """
+    p = a >> 1
+    s = 1
+    while s < sig.dim:
+        p ^= p >> s
+        s <<= 1
+    return p ^ (a & sig.neg_mask)
 
 
 def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
-    """Geometric product of basis blades: (sign, result mask).
-
-    The sign combines the transposition count from interleaving the two
-    blades with the metric squares of the contracted common generators.
-    """
-    sign = _reorder_sign_cached(a, b)
-    common = a & b
-    if common and not sig.is_euclidean:
-        j = 1
-        while common:
-            if common & 1 and sig.square(j) < 0:
-                sign = -sign
-            common >>= 1
-            j += 1
-    return sign, a ^ b
+    """Geometric product of basis blades: (sign, result mask)."""
+    return (-1 if (_sign_mask(a, sig) & b).bit_count() & 1 else 1), a ^ b
 
 
 def _reverse_sign(mask: int) -> int:
@@ -232,17 +214,11 @@ class Multivector:
         self._check_compatible(other)
         sig = self.signature
         out: dict[int, complex] = {}
-        if sig.is_euclidean:
-            get_sign = _reorder_sign_cached
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    m = a ^ b
-                    out[m] = out.get(m, 0j) + ca * cb * get_sign(a, b)
-        else:
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    s, m = blade_product(a, b, sig)
-                    out[m] = out.get(m, 0j) + ca * cb * s
+        for a, ca in self.terms.items():
+            q = _sign_mask(a, sig)
+            for b, cb in other.terms.items():
+                m = a ^ b
+                out[m] = out.get(m, 0j) + ca * cb * (-1 if (q & b).bit_count() & 1 else 1)
         return Multivector._from_raw(sig, out)
 
     def __rmul__(self, other: complex) -> Multivector:
@@ -255,11 +231,12 @@ class Multivector:
         self._check_compatible(other)
         out: dict[int, complex] = {}
         for a, ca in self.terms.items():
+            q = _sign_mask(a, self.signature)
             for b, cb in other.terms.items():
                 if a & b:
                     continue
                 m = a ^ b
-                out[m] = out.get(m, 0j) + ca * cb * _reorder_sign_cached(a, b)
+                out[m] = out.get(m, 0j) + ca * cb * (-1 if (q & b).bit_count() & 1 else 1)
         return Multivector._from_raw(self.signature, out)
 
     def left_contract(self, other: Multivector) -> Multivector:

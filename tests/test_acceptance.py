@@ -16,7 +16,6 @@ from cliffsim.gates import (
     GateElement,
     apply,
     build_gate,
-    exp_element,
     gate_ccnot,
     gate_cnot,
     gate_cswap,
@@ -32,7 +31,7 @@ from cliffsim.gates import (
     wire_coordinates,
 )
 from cliffsim.matrix_backend import compare_backends, random_unitary_2x2, run_fuzz
-from cliffsim.multivector import Multivector
+from cliffsim.multivector import Multivector, exp_element
 from cliffsim.real_ga import (
     bloch_verify,
     c2_to_g3,

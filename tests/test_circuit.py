@@ -61,6 +61,22 @@ class TestDiagnostics:
             parse_circuit("qubits 1\nphase 1 fast\n")
         assert "parameter" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "line,column",
+        [
+            ("phase 1 nan", 9),
+            ("phase 1 inf", 9),
+            ("phase 1 -inf", 9),
+            ("phase 1 1e999", 9),
+            ("u2 1 1 0 0 0 0 0 nan 0", 18),
+        ],
+    )
+    def test_non_finite_parameter(self, line, column):
+        with pytest.raises(CircuitError) as exc:
+            parse_circuit(f"qubits 1\n{line}\n")
+        assert (exc.value.line, exc.value.column) == (2, column)
+        assert "parameter" in str(exc.value)
+
     def test_duplicate_wires(self):
         with pytest.raises(CircuitError):
             parse_circuit("qubits 2\nswap 1 1\n")

@@ -72,6 +72,19 @@ class TestRun:
     def test_deviation_failure_exits_1(self, bell_file, capsys):
         assert main(["run", "--backend", "both", "--tol", "0", bell_file]) == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flags):
+        path = tmp_path / "nan.qc"
+        path.write_text("qubits 1\nphase 1 nan\n")
+        assert main(["run", "--backend", "both", *flags, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2, column 9" in captured.err
+
+    def test_nan_tolerance_is_not_a_pass(self, bell_file, capsys):
+        assert main(["run", "--backend", "both", "--tol", "nan", bell_file]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
 
 class TestFuzz:
     def test_small_sweep(self, capsys):

@@ -1,6 +1,7 @@
 """Gate elements: golden forms, super tensor signs, unitarity, state action."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from cliffsim.gates import (
     GATE_SPECS,
     apply,
     build_gate,
-    exp_element,
     gate_ccnot,
     gate_cnot,
     gate_cswap,
@@ -30,7 +30,7 @@ from cliffsim.gates import (
     wire_coordinates,
 )
 from cliffsim.matrix_backend import random_unitary_2x2
-from cliffsim.multivector import Multivector, hermitian_inner
+from cliffsim.multivector import Multivector, exp_element, hermitian_inner
 from cliffsim.witt import (
     WittContext,
     amplitudes_to_state,
@@ -348,6 +348,11 @@ class TestUnitarity:
         from cliffsim.gates import GateElement
 
         assert not is_unitary(GateElement(1, ctx1.f(1)))
+
+    def test_gate_element_is_immutable(self, ctx1):
+        g = gate_x(ctx1, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.value = ctx1.one()
 
     def test_all_named_gates_sweep(self):
         rng = np.random.default_rng(109)

@@ -1,6 +1,7 @@
 """Sparse Clifford algebra kernel: products, involutions, inner product."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -42,6 +43,29 @@ class TestBladeProduct:
         sig = Signature(2, 1)
         assert blade_product(0b100, 0b100, sig) == (-1, 0)
         assert blade_product(0b001, 0b001, sig) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "p,q", [(3, 0), (1, 2), (0, 3), (16, 0), (9, 7), (0, 16), (64, 0), (40, 24), (0, 64)]
+    )
+    def test_matches_brute_force_sign(self, p, q):
+        sig = Signature(p, q)
+        dim = sig.dim
+        rng = random.Random(1000 * p + q)
+        full = (1 << dim) - 1
+        pairs = [(full, full), (1 << (dim - 1), 1), (1, 1 << (dim - 1))]
+        pairs += [(rng.getrandbits(dim), rng.getrandbits(dim)) for _ in range(200)]
+        for a, b in pairs:
+            assert blade_product(a, b, sig) == (_brute_force_sign(a, b, sig), a ^ b), (a, b)
+
+
+def _brute_force_sign(a, b, sig):
+    """Sign of a b from sorting the concatenated generator lists by swaps."""
+    gens = [j for j in range(1, sig.dim + 1) if a >> (j - 1) & 1]
+    gens += [j for j in range(1, sig.dim + 1) if b >> (j - 1) & 1]
+    inversions = sum(1 for i, x in enumerate(gens) for y in gens[i + 1 :] if x > y)
+    common = [j for j in range(1, sig.dim + 1) if (a & b) >> (j - 1) & 1]
+    negative_squares = sum(1 for j in common if sig.square(j) < 0)
+    return (-1) ** (inversions + negative_squares)
 
 
 class TestGeometricProduct:
