@@ -16,8 +16,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .gates import GATE_SPECS, apply, build_gate
-from .witt import SpinorState, WittContext, basis_state
+from .gates import GATE_SPECS, apply, build_gate, check_unitary_2x2, u2_matrix
+from .witt import MAX_QUBITS, SpinorState, WittContext, basis_state
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,11 @@ def parse_circuit(text: str) -> Circuit:
             if len(toks) != 2:
                 raise CircuitError("header must be exactly 'qubits N'", lineno, toks[0][1])
             word, col = toks[1]
-            if not word.isdigit() or int(word) < 1:
+            if not word.isdigit():
                 raise CircuitError(f"invalid qubit count {word!r}", lineno, col)
             n_qubits = int(word)
+            if not 1 <= n_qubits <= MAX_QUBITS:
+                raise CircuitError(f"qubit count {n_qubits} out of range 1..{MAX_QUBITS}", lineno, col)
             continue
         name, col = toks[0]
         name = name.lower()
@@ -99,6 +101,11 @@ def parse_circuit(text: str) -> Circuit:
             if not math.isfinite(value):
                 raise CircuitError(f"non-finite parameter {word!r}", lineno, pcol)
             params.append(value)
+        if name == "u2":
+            try:
+                check_unitary_2x2(u2_matrix(params))
+            except ValueError as exc:
+                raise CircuitError(str(exc), lineno, toks[1 + spec.wires][1]) from None
         ops.append(GateOp(name, tuple(wires), tuple(params)))
     if n_qubits is None:
         raise CircuitError("empty circuit file, expected 'qubits N' header", 1)
@@ -121,9 +128,9 @@ def parse_bits(text: str, n: int) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
 
-def run_clifford(circuit: Circuit, init_bits=None, strict: bool = False) -> SpinorState:
+def run_clifford(circuit: Circuit, init_bits=None) -> SpinorState:
     """Evaluate the circuit in the Clifford-algebra backend."""
-    ctx = WittContext(circuit.n_qubits, strict=strict)
+    ctx = WittContext(circuit.n_qubits)
     bits = tuple(init_bits) if init_bits is not None else (0,) * circuit.n_qubits
     state = basis_state(ctx, bits)
     for op in circuit.ops:

@@ -11,7 +11,7 @@ import sys
 
 from .circuit import CircuitError, parse_bits, parse_circuit, run_clifford
 from .gates import GATE_SPECS, build_gate
-from .matrix_backend import compare_backends, run_fuzz, run_matrix
+from .matrix_backend import MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
 from .real_ga import bloch_angles, bloch_verify, iso_check
 from .witt import WittContext, render_witt, state_to_amplitudes
 
@@ -66,9 +66,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             g = build_gate(ctx, op.name, op.wires, op.params)
             loc = " ".join(map(str, op.wires))
             print(f"{op.name} {loc}: {render_witt(g.value, n)}")
-        state = run_clifford(circuit, bits)
-        print(f"state: {render_witt(state.value, n)}")
-        print(f"state blades: {state.value.render()}")
+        value = run_clifford(circuit, bits).value
+        print(f"state: {render_witt(value, n)}")
+        print(f"state blades: {value.render()}")
 
     if args.json:
         payload = {
@@ -90,6 +90,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    if not 1 <= args.max_qubits <= MAX_DENSE_QUBITS:
+        problem = f"--max-qubits must be in 1..{MAX_DENSE_QUBITS}, got {args.max_qubits}"
+    elif args.depth < 1:
+        problem = f"--depth must be at least 1, got {args.depth}"
+    elif args.circuits < 1:
+        problem = f"--circuits must be at least 1, got {args.circuits}"
+    else:
+        problem = None
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     report = run_fuzz(
         seed=args.seed,
         circuits=args.circuits,

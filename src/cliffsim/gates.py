@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .multivector import Multivector
-from .witt import SpinorState, WittContext, basis_state, state_to_amplitudes
+from .witt import SpinorState, WittContext, amplitudes_to_state, basis_state, state_to_amplitudes
 
 UNITARY_TOL = 1e-10
 
@@ -171,8 +173,8 @@ def gate_phase(ctx: WittContext, k: int, phi: float) -> GateElement:
     return GateElement(ctx.n, _super_words(ctx, {k: _local_phase(ctx, k, phi)}))
 
 
-def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:
-    """Wire-k gate from a 2x2 unitary [[a, b], [c, d]]."""
+def check_unitary_2x2(matrix) -> tuple[complex, complex, complex, complex]:
+    """Entries (a, b, c, d) of [[a, b], [c, d]]; ValueError unless unitary to UNITARY_TOL."""
     (a, b), (c, d) = matrix
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     err = max(
@@ -180,8 +182,20 @@ def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:
         abs(abs(b) ** 2 + abs(d) ** 2 - 1.0),
         abs(b.conjugate() * a + d.conjugate() * c),
     )
-    if err > UNITARY_TOL:
+    if not err <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
+    return a, b, c, d
+
+
+def u2_matrix(params: Sequence[float]) -> list[list[complex]]:
+    """[[a, b], [c, d]] from the eight re/im parameters of a u2 line."""
+    a, b, c, d = (complex(params[i], params[i + 1]) for i in range(0, 8, 2))
+    return [[a, b], [c, d]]
+
+
+def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:
+    """Wire-k gate from a 2x2 unitary [[a, b], [c, d]]."""
+    a, b, c, d = check_unitary_2x2(matrix)
     local = a * ctx.proj0(k) + b * ctx.f(k) + c * ctx.fdag(k) + d * ctx.proj1(k)
     return GateElement(ctx.n, _super_words(ctx, {k: local}))
 
@@ -258,11 +272,50 @@ def ketbra(ctx: WittContext, bits_out, bits_in) -> Multivector:
 # -- action on states --------------------------------------------------------------
 
 
+def _pauli_string(mask: int, n: int) -> tuple[int, int, complex]:
+    """Action of blade e_A on the amplitudes as (x_mask, z_mask, phase).
+
+    On the basis words, e_j (wire j <= n) flips bit j with sign
+    (-1)^(bits of wires < j), i.e. Z_1 ... Z_{j-1} X_j (Jordan-Wigner), and
+    e_{j+n} = i (f_j - f_j^dagger) is the same times -i Z_j.  A string
+    phase * X^x Z^z applies Z^z first; the blade is its generators composed
+    in ascending order, using Z^z1 X^x2 = (-1)^popcount(x2 & z1) X^x2 Z^z1.
+    """
+    x = z = 0
+    phase = 1 + 0j
+    for g in range(2 * n):
+        if not mask >> g & 1:
+            continue
+        bit = 1 << (n - 1 - g % n)  # index bit of wire g % n + 1
+        gz = ((1 << n) - 1) ^ ((bit << 1) - 1)  # index bits of the wires before it
+        gc = 1
+        if g >= n:
+            gz |= bit
+            gc = -1j
+        phase *= -gc if (bit & z).bit_count() & 1 else gc
+        x ^= bit
+        z ^= gz
+    return x, z, phase
+
+
 def apply(g: GateElement, state: SpinorState) -> SpinorState:
-    """Left multiplication of the state by the gate element."""
+    """Left multiplication of the state by the gate element.
+
+    Each blade term of the gate is a signed permutation of the amplitudes,
+    out[i] += c * phase * (-1)^popcount((i ^ x) & z) * a[i ^ x].
+    """
     if g.n != state.n:
         raise ValueError(f"gate acts on {g.n} qubits, state has {state.n}")
-    return SpinorState(state.ctx, g.value * state.value)
+    amps = state.amplitudes
+    index = np.arange(amps.size)
+    out = np.zeros_like(amps)
+    for mask, coeff in g.value.terms.items():
+        x, z, phase = _pauli_string(mask, g.n)
+        source = index ^ x
+        # bitwise_count is uint8: take the parity, never 1 - 2 * count.
+        sign = np.where(np.bitwise_count(source & z) & 1, -1.0, 1.0)
+        out += (coeff * phase) * sign * amps[source]
+    return amplitudes_to_state(state.ctx, out)
 
 
 def is_unitary(g: GateElement, tol: float = UNITARY_TOL) -> bool:
@@ -294,11 +347,7 @@ def _build_s(ctx: WittContext, k: int) -> GateElement:
 
 
 def _build_u2(ctx: WittContext, k: int, *p: float) -> GateElement:
-    a = complex(p[0], p[1])
-    b = complex(p[2], p[3])
-    c = complex(p[4], p[5])
-    d = complex(p[6], p[7])
-    return gate_from_u2(ctx, k, [[a, b], [c, d]])
+    return gate_from_u2(ctx, k, u2_matrix(p))
 
 
 GATE_SPECS: dict[str, GateSpec] = {

@@ -9,6 +9,8 @@ which square to zero and satisfy f_j f_k^dagger + f_k^dagger f_j = delta_jk.
 The primitive idempotent I = f_1 f_1^dagger ... f_n f_n^dagger generates the
 left ideal used as the n-qubit state space; its basis states are the words
 (f_1^dagger)^{b_1} ... (f_n^dagger)^{b_n} I for bit lists b, MSB first.
+A state is held as its 2^n coordinates on these words; its blade form is
+rebuilt only on demand.
 
 All Witt construction coefficients are dyadic, so the identity suites hold
 with exact floating-point cancellation.
@@ -16,26 +18,21 @@ with exact floating-point cancellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .multivector import Multivector, Signature, hermitian_inner
 
 SPINOR_TOL = 1e-12
+MAX_QUBITS = 32
 
 
 class WittContext:
-    """Precomputed Witt elements and idempotents for an n-qubit register.
+    """Witt elements and wire idempotents for an n-qubit register."""
 
-    With ``strict`` set, states are verified to lie in the spinor ideal at
-    construction and after gate application (an O(4^n * sparsity) product,
-    so off by default).
-    """
-
-    def __init__(self, n: int, strict: bool = False):
-        if not 1 <= n <= 32:
-            raise ValueError(f"qubit count {n} out of range 1..32")
+    def __init__(self, n: int):
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count {n} out of range 1..{MAX_QUBITS}")
         self.n = n
-        self.strict = strict
         self.signature = Signature(2 * n)
         sig = self.signature
         self._f = []
@@ -51,10 +48,14 @@ class WittContext:
             self._fdag.append(fd)
             self._proj0.append(f * fd)
             self._proj1.append(fd * f)
-        idem = Multivector.scalar(sig, 1.0)
+
+    @property
+    def idempotent(self) -> Multivector:
+        """Primitive idempotent I = f_1 f_1^dagger ... f_n f_n^dagger (2^n blade terms)."""
+        idem = self.one()
         for p in self._proj0:
             idem = idem * p
-        self.idempotent = idem
+        return idem
 
     def _check_wire(self, j: int) -> None:
         if not 1 <= j <= self.n:
@@ -82,39 +83,82 @@ class WittContext:
         return Multivector.scalar(self.signature, 1.0)
 
     def __repr__(self) -> str:
-        return f"WittContext(n={self.n}, strict={self.strict})"
+        return f"WittContext(n={self.n})"
 
 
-@dataclass(frozen=True)
 class SpinorState:
-    """A multivector constrained to the spinor ideal of its context."""
+    """A state of the spinor ideal, held as its 2^n amplitudes.
 
-    ctx: WittContext
-    value: Multivector
+    Amplitude k is the coordinate on the basis word
+    (f_1^dagger)^{b_1} ... (f_n^dagger)^{b_n} I, b = index_bits(k, n).
+    ``SpinorState(ctx, x)`` converts a multivector of the ideal (and rejects
+    any other); ``amplitudes_to_state`` wraps an amplitude vector directly.
+    The ``amplitudes`` array is read-only.
+    """
+
+    __slots__ = ("ctx", "amplitudes")
+
+    def __init__(self, ctx: WittContext, value: Multivector):
+        if value.signature != ctx.signature:
+            raise ValueError("state multivector does not match context algebra")
+        if not is_spinor(ctx, value):
+            raise ValueError("multivector is not in the spinor ideal")
+        amps = [
+            (2 ** ctx.n) * hermitian_inner(basis_state(ctx, index_bits(k, ctx.n)).value, value)
+            for k in range(2 ** ctx.n)
+        ]
+        _freeze(self, ctx, np.array(amps, dtype=complex))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n(self) -> int:
         return self.ctx.n
 
-    def __post_init__(self) -> None:
-        if self.value.signature != self.ctx.signature:
-            raise ValueError("state multivector does not match context algebra")
-        if self.ctx.strict and not is_spinor(self.ctx, self.value):
-            raise ValueError("multivector is not in the spinor ideal")
+    @property
+    def value(self) -> Multivector:
+        """Blade form sum_k a_k (f^dagger-word_k) I, rebuilt on every read."""
+        return _blade_form(self.ctx, self.amplitudes)
+
+
+def _freeze(state: SpinorState, ctx: WittContext, amplitudes: np.ndarray) -> None:
+    amplitudes.flags.writeable = False
+    object.__setattr__(state, "ctx", ctx)
+    object.__setattr__(state, "amplitudes", amplitudes)
+
+
+def _blade_form(ctx: WittContext, amplitudes: np.ndarray, j: int = 1) -> Multivector:
+    """sum_k a_k (f_j^dagger)^{b_j} ... (f_n^dagger)^{b_n} f_j f_j^dagger ... f_n f_n^dagger.
+
+    The amplitudes index wires j..n, MSB first.  Each basis word is the
+    ordered product of per-wire factors f_k f_k^dagger (bit 0) or
+    f_k^dagger (bit 1), since f^dagger f f^dagger = f^dagger and the even
+    f_k f_k^dagger commute with the other wires; splitting on wire j's bit
+    therefore costs one two-term product per half.
+    """
+    if j > ctx.n:
+        return Multivector.scalar(ctx.signature, amplitudes[0])
+    half = len(amplitudes) // 2
+    out = Multivector.zero(ctx.signature)
+    for factor, part in ((ctx.proj0(j), amplitudes[:half]), (ctx.fdag(j), amplitudes[half:])):
+        if part.any():
+            out = out + factor * _blade_form(ctx, part, j + 1)
+    return out
 
 
 def basis_state(ctx: WittContext, bits: list[int] | tuple[int, ...]) -> SpinorState:
     """Computational basis state for an MSB-first bit list."""
     if len(bits) != ctx.n:
         raise ValueError(f"expected {ctx.n} bits, got {len(bits)}")
-    value = ctx.idempotent
-    for j in range(ctx.n, 0, -1):
-        b = bits[j - 1]
+    index = 0
+    for b in bits:
         if b not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got {b!r}")
-        if b:
-            value = ctx.fdag(j) * value
-    return SpinorState(ctx, value)
+        index = 2 * index + b
+    amps = np.zeros(2 ** ctx.n, dtype=complex)
+    amps[index] = 1.0
+    return amplitudes_to_state(ctx, amps)
 
 
 def index_bits(k: int, n: int) -> tuple[int, ...]:
@@ -136,24 +180,19 @@ def is_spinor(ctx: WittContext, x: Multivector, tol: float = SPINOR_TOL) -> bool
 
 def state_to_amplitudes(ctx: WittContext, x: SpinorState) -> list[complex]:
     """Components against the orthonormal basis, index ascending (MSB first)."""
-    if ctx.strict and not is_spinor(ctx, x.value):
-        raise ValueError("multivector is not in the spinor ideal")
-    return [
-        spinor_inner(ctx, basis_state(ctx, index_bits(k, ctx.n)), x)
-        for k in range(2 ** ctx.n)
-    ]
+    if x.n != ctx.n:
+        raise ValueError("state qubit count does not match context")
+    return x.amplitudes.tolist()
 
 
 def amplitudes_to_state(ctx: WittContext, amplitudes) -> SpinorState:
-    """Inverse of state_to_amplitudes."""
-    if len(amplitudes) != 2 ** ctx.n:
-        raise ValueError(f"expected {2 ** ctx.n} amplitudes, got {len(amplitudes)}")
-    value = Multivector.zero(ctx.signature)
-    for k, a in enumerate(amplitudes):
-        a = complex(a)
-        if a != 0:
-            value = value + a * basis_state(ctx, index_bits(k, ctx.n)).value
-    return SpinorState(ctx, value)
+    """Inverse of state_to_amplitudes; copies the amplitudes."""
+    vec = np.array(amplitudes, dtype=complex)
+    if vec.shape != (2 ** ctx.n,):
+        raise ValueError(f"expected {2 ** ctx.n} amplitudes, got shape {vec.shape}")
+    state = object.__new__(SpinorState)
+    _freeze(state, ctx, vec)
+    return state
 
 
 # -- Witt-basis rendering -----------------------------------------------------

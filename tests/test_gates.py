@@ -425,6 +425,26 @@ class TestApplication:
         with pytest.raises(ValueError):
             apply(gate_x(ctx1, 1), basis_state(ctx2, [0, 0]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_blade_action_matches_blade_product(self, n):
+        # the signed-permutation kernel against left multiplication in the algebra
+        from cliffsim.gates import GateElement
+
+        ctx = WittContext(n)
+        if n <= 3:
+            masks = range(4 ** n)
+            indices = range(2 ** n)
+        else:
+            rng = np.random.default_rng(139 + n)
+            masks = [int(m) for m in rng.integers(0, 4 ** n, size=40)]
+            indices = [int(k) for k in rng.integers(0, 2 ** n, size=4)]
+        for mask in masks:
+            blade = Multivector(ctx.signature, {mask: 1.0})
+            for k in indices:
+                basis = basis_state(ctx, index_bits(k, n))
+                got = apply(GateElement(n, blade), basis).value
+                assert got.max_coeff_diff(blade * basis.value) <= 1e-15, (mask, k)
+
     def test_phase_rotation_eigenvalue(self, ctx1):
         theta = 1.234
         gen = -0.5j * theta * gate_z(ctx1, 1).value

@@ -160,7 +160,7 @@ class TestIdealMembership:
         assert is_spinor(ctx, ctx.fdag(1) * ctx.idempotent)
 
     def test_strict_mode_rejects_non_spinor(self):
-        ctx = WittContext(1, strict=True)
+        ctx = WittContext(1)
         with pytest.raises(ValueError):
             SpinorState(ctx, ctx.f(1))
         SpinorState(ctx, ctx.idempotent)  # fine
@@ -197,6 +197,15 @@ class TestAmplitudes:
             v /= np.linalg.norm(v)
             back = state_to_amplitudes(ctx, amplitudes_to_state(ctx, list(v)))
             assert max(abs(a - b) for a, b in zip(back, v)) < 1e-12
+
+    def test_amplitudes_are_read_only(self):
+        ctx = WittContext(2)
+        s = amplitudes_to_state(ctx, [0.6, 0, 0, 0.8])
+        with pytest.raises(ValueError):
+            s.amplitudes[0] = 1.0
+        with pytest.raises(AttributeError):
+            s.amplitudes = np.zeros(4, dtype=complex)
+        assert state_to_amplitudes(ctx, s) == [0.6, 0, 0, 0.8]
 
     def test_length_validation(self):
         ctx = WittContext(2)
