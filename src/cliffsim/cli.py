@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .circuit import CircuitError, parse_bits, parse_circuit, run_clifford
@@ -32,6 +33,20 @@ def _print_probabilities(amps, n: int) -> None:
         print(f"p(|{label}>) = {abs(a) ** 2:.10f}")
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _print_json(payload: dict) -> bool:
+    """Print one JSON line; False, with a message, if a value is not finite."""
+    try:
+        print(json.dumps(payload, allow_nan=False))
+    except ValueError:
+        print("error: result has a non-finite value, which JSON cannot carry", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.circuit, encoding="utf-8") as fh:
@@ -40,7 +55,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.circuit}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        circuit = parse_circuit(text)
+        circuit = parse_circuit(text, memory_bytes=_physical_memory())
         bits = parse_bits(args.init, circuit.n_qubits) if args.init else None
     except (CircuitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -49,6 +64,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     n = circuit.n_qubits
     deviation = None
     passed = True
+    state = None
     if args.backend == "both":
         report = compare_backends(circuit, bits, tol=args.tol)
         amps = list(report.clifford)
@@ -66,7 +82,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             g = build_gate(ctx, op.name, op.wires, op.params)
             loc = " ".join(map(str, op.wires))
             print(f"{op.name} {loc}: {render_witt(g.value, n)}")
-        value = run_clifford(circuit, bits).value
+        if state is None:
+            state = run_clifford(circuit, bits)
+        value = state.value
         print(f"state: {render_witt(value, n)}")
         print(f"state blades: {value.render()}")
 
@@ -77,7 +95,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "probabilities": [abs(a) ** 2 for a in amps],
             "deviation": deviation,
         }
-        print(json.dumps(payload))
+        if not _print_json(payload):
+            return EXIT_VERIFY
     else:
         _print_amplitudes(amps, n)
         if args.probabilities:
@@ -129,7 +148,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 for r in report.results
             ],
         }
-        print(json.dumps(payload))
+        if not _print_json(payload):
+            return EXIT_VERIFY
     else:
         for r in report.results:
             verdict = "PASS" if r.passed else "FAIL"

@@ -2,10 +2,11 @@
 
 Single-wire operators live in the four-dimensional span of
 (f_k f_k^dagger, f_k, f_k^dagger, f_k^dagger f_k); multi-wire gates are
-signed super tensor products of such factors.  The sign of a product word
-picks up -1 for every odd factor (f_i or f_i^dagger) preceded by a factor
-of type f_l or f_l^dagger f_l on an earlier wire, which makes the geometric
-product of the word act on product states exactly like the ordinary tensor
+signed super tensor products of such factors, built in Jordan-Wigner form.
+Z_j = f_j f_j^dagger - f_j^dagger f_j = i e_j e_{j+n} is a single blade, and
+the factor on wire k enters as its even part plus Z_1 ... Z_{k-1} times its
+odd part (f_k, f_k^dagger).  These dressed factors on distinct wires commute,
+and their product acts on product states exactly like the ordinary tensor
 product of the factors.
 """
 
@@ -57,58 +58,44 @@ class GateElement:
     value: Multivector
 
 
+def _check_support(ctx: WittContext, factor: Multivector, k: int) -> tuple[int, int]:
+    """Blade masks of e_k and e_{k+n}.
+
+    Raises if the factor touches generators outside wire k.
+    """
+    ctx._check_wire(k)
+    e_bit = 1 << (k - 1)
+    en_bit = 1 << (k + ctx.n - 1)
+    if any(mask & ~(e_bit | en_bit) for mask in factor.terms):
+        raise ValueError(f"factor for wire {k} is supported outside its wire")
+    return e_bit, en_bit
+
+
 def wire_coordinates(ctx: WittContext, factor: Multivector, k: int) -> tuple[complex, complex, complex, complex]:
     """Coordinates (a, b, c, d) of a wire-k operator on (f f^dag, f, f^dag, f^dag f).
 
     Raises if the factor touches generators outside wire k.
     """
-    ctx._check_wire(k)
-    n = ctx.n
-    e_bit = 1 << (k - 1)
-    en_bit = 1 << (k + n - 1)
-    allowed = e_bit | en_bit
-    for mask in factor.terms:
-        if mask & ~allowed:
-            raise ValueError(f"factor for wire {k} is supported outside its wire")
+    e_bit, en_bit = _check_support(ctx, factor, k)
     s = factor.coefficient(0)
     u = factor.coefficient(e_bit)
     v = factor.coefficient(en_bit)
-    w = factor.coefficient(allowed)
+    w = factor.coefficient(e_bit | en_bit)
     return (s - 1j * w, u + 1j * v, u - 1j * v, s + 1j * w)
 
 
-def _identity_run(ctx: WittContext, first: int, last: int) -> tuple[Multivector, Multivector]:
-    """Even/odd bit-1-projector-count parts of an identity run of wires.
-
-    Returns (E, O) with E + O = 1 and E - O = Z_first ... Z_last.
-    """
-    zs = ctx.one()
-    for j in range(first, last + 1):
-        zs = zs * (ctx.proj0(j) - ctx.proj1(j))
-    return (ctx.one() + zs) * 0.5, (ctx.one() - zs) * 0.5
-
-
 def _super_words(ctx: WittContext, wire_factors: dict[int, Multivector]) -> Multivector:
-    """Signed multilinear expansion of per-wire factors into one element."""
-    plus = ctx.one()
-    minus = Multivector.zero(ctx.signature)
-    prev = 0
+    """Product over sorted wires k of even_k + Z_1 ... Z_{k-1} odd_k."""
+    sig, n = ctx.signature, ctx.n
+    out = ctx.one()
     for k in sorted(wire_factors):
-        if k > prev + 1:
-            even, odd = _identity_run(ctx, prev + 1, k - 1)
-            plus, minus = plus * even + minus * odd, plus * odd + minus * even
-        a, b, c, d = wire_coordinates(ctx, wire_factors[k], k)
-        keep_even = a * ctx.proj0(k)      # no sign, parity unchanged
-        keep_odd = c * ctx.fdag(k)        # sign (-1)^parity, parity unchanged
-        flip_odd = b * ctx.f(k)           # sign (-1)^parity, parity flips
-        flip_even = d * ctx.proj1(k)      # no sign, parity flips
-        plus, minus = (
-            plus * keep_even + plus * keep_odd + minus * flip_even - minus * flip_odd,
-            minus * keep_even - minus * keep_odd + plus * flip_even + plus * flip_odd,
-        )
-        prev = k
-    # Trailing identity wires multiply by (E + O) = 1: nothing to do.
-    return plus + minus
+        factor = wire_factors[k]
+        _check_support(ctx, factor, k)
+        even = Multivector(sig, {m: c for m, c in factor.terms.items() if not m.bit_count() & 1})
+        odd = Multivector(sig, {m: c for m, c in factor.terms.items() if m.bit_count() & 1})
+        zs = Multivector.blade(sig, [g for j in range(1, k) for g in (j, j + n)], 1j ** (k - 1))
+        out = out * (even + zs * odd)
+    return out
 
 
 def super_tensor(ctx: WittContext, factors: Sequence[Multivector | None]) -> GateElement:

@@ -11,6 +11,7 @@ from cliffsim.circuit import (
     parse_bits,
     parse_circuit,
     render_circuit,
+    run_bytes,
     run_clifford,
 )
 from cliffsim.witt import state_to_amplitudes
@@ -105,6 +106,14 @@ class TestDiagnostics:
             parse_circuit("qubits 1\nu2 1 2 0 0 0 0 0 1 0\n")
         assert (exc.value.line, exc.value.column) == (2, 6)
         assert "not unitary" in str(exc.value)
+
+    def test_register_beyond_memory_refused_at_header(self):
+        text = "# header after a comment\nqubits 20\nx 1\n"
+        with pytest.raises(CircuitError) as exc:
+            parse_circuit(text, memory_bytes=run_bytes(20) - 1)
+        assert (exc.value.line, exc.value.column) == (2, 8)
+        assert "physical memory" in str(exc.value)
+        assert parse_circuit(text, memory_bytes=run_bytes(20)).n_qubits == 20
 
     def test_column_reported(self):
         with pytest.raises(CircuitError) as exc:

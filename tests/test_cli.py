@@ -5,7 +5,11 @@ import math
 
 import pytest
 
+import cliffsim.cli
+import cliffsim.matrix_backend
+from cliffsim.circuit import run_bytes, run_clifford
 from cliffsim.cli import main
+from cliffsim.witt import WittContext, amplitudes_to_state
 
 BELL = "qubits 2\nh 1\ncnot 1 2\n"
 
@@ -96,6 +100,39 @@ class TestRun:
         assert captured.out == ""
         assert location in captured.err
 
+    def test_register_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cliffsim.cli, "_physical_memory", lambda: run_bytes(3) - 1)
+        path = tmp_path / "c.qc"
+        path.write_text("qubits 3\nx 1\n")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1, column 8" in captured.err
+        assert "physical memory" in captured.err
+        path.write_text("qubits 2\nx 1\n")
+        assert main(["run", str(path)]) == 0
+
+    def test_json_non_finite_exits_1(self, bell_file, capsys, monkeypatch):
+        def nan_state(circuit, bits=None):
+            return amplitudes_to_state(WittContext(2), [math.nan, 0, 0, 0])
+
+        monkeypatch.setattr(cliffsim.cli, "run_clifford", nan_state)
+        assert main(["run", "--json", bell_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    def test_show_algebra_runs_the_circuit_once(self, bell_file, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_clifford(*args)
+
+        monkeypatch.setattr(cliffsim.cli, "run_clifford", counted)
+        assert main(["run", "--show-algebra", bell_file]) == 0
+        assert len(calls) == 1
+
     def test_nan_tolerance_is_not_a_pass(self, bell_file, capsys):
         assert main(["run", "--backend", "both", "--tol", "nan", bell_file]) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -114,6 +151,17 @@ class TestFuzz:
         assert payload["failures"] == 0
         assert len(payload["results"]) == 4
         assert payload["max_deviation"] < 1e-9
+
+    def test_json_non_finite_exits_1(self, capsys, monkeypatch):
+        def nan_state(circuit, bits=None):
+            n = circuit.n_qubits
+            return amplitudes_to_state(WittContext(n), [math.nan] * 2 ** n)
+
+        monkeypatch.setattr(cliffsim.matrix_backend, "run_clifford", nan_state)
+        assert main(["fuzz", "--seed", "7", "--circuits", "2", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     @pytest.mark.parametrize(
         "flags", ["--max-qubits 0", "--max-qubits 13", "--depth 0", "--circuits -1"]

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsim.gates import (
     GATE_SPECS,
@@ -217,6 +219,15 @@ class TestSuperTensor:
         with pytest.raises(ValueError):
             super_tensor(ctx2, [ctx2.f(2), None])
 
+    def test_factor_mixing_wires_rejected(self, ctx2):
+        mixed = ctx2.fdag(1) + ctx2.f(2)
+        with pytest.raises(ValueError):
+            super_tensor(ctx2, [mixed, None])
+        with pytest.raises(ValueError):
+            super_tensor(ctx2, [None, mixed])
+        with pytest.raises(ValueError):
+            wire_coordinates(ctx2, mixed, 1)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_slotwise_action_oracle(self, n):
         # every choice of basis factors acts like the slot-wise product
@@ -240,6 +251,32 @@ class TestSuperTensor:
                     local_state = ctx.fdag(k) * ctx.proj0(k) if bits[k - 1] else ctx.proj0(k)
                     slotwise = slotwise * (factors[k - 1] * local_state)
                 assert got.terms == slotwise.terms
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_factors_act_slotwise(self, data):
+        # random (proj0, f, fdag, proj1) coordinates per wire, None for identity
+        n = data.draw(st.integers(1, 4), label="n")
+        ctx = WittContext(n)
+        coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+        factors = []
+        for k in range(1, n + 1):
+            coords = data.draw(st.none() | st.tuples(coeff, coeff, coeff, coeff), label=f"wire {k}")
+            if coords is None:
+                factors.append(None)
+            else:
+                a, b, c, d = coords
+                factors.append(a * ctx.proj0(k) + b * ctx.f(k) + c * ctx.fdag(k) + d * ctx.proj1(k))
+        g = super_tensor(ctx, factors)
+        for idx in range(2 ** n):
+            bits = index_bits(idx, n)
+            slotwise = ctx.one()
+            for k in range(1, n + 1):
+                local_state = ctx.fdag(k) * ctx.proj0(k) if bits[k - 1] else ctx.proj0(k)
+                factor = factors[k - 1]
+                slotwise = slotwise * (local_state if factor is None else factor * local_state)
+            got = g.value * basis_state(ctx, bits).value
+            assert got.max_coeff_diff(slotwise) <= 1e-12, (bits, factors)
 
     def test_blade_super_commutation_randomized(self):
         # (eA eB)(eC eD) = (-1)^{|B||C|} (eA eC)(eB eD) for disjoint B, C
