@@ -12,18 +12,8 @@ from .gates import (
     GateElement,
     apply,
     build_gate,
-    gate_ccnot,
-    gate_cnot,
-    gate_cswap,
-    gate_cz,
     gate_from_u2,
-    gate_h,
     gate_identity,
-    gate_phase,
-    gate_swap,
-    gate_x,
-    gate_y,
-    gate_z,
     is_unitary,
     ketbra,
     measure_probabilities,

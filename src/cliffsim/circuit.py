@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .gates import GATE_SPECS, apply, build_gate, check_unitary_2x2, u2_matrix
+from .gates import GATE_SPECS, apply, build_gate
 from .witt import MAX_QUBITS, SpinorState, WittContext, basis_state
 
 
@@ -60,11 +60,11 @@ def _tokens(text_line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
 
 
-def parse_circuit(text: str, memory_bytes: int | None = None) -> Circuit:
+def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = MAX_QUBITS) -> Circuit:
     """Parse and validate a circuit file.
 
-    With ``memory_bytes``, a register whose ``run_bytes`` exceeds it is
-    refused at its header.
+    A register of more than ``max_qubits`` wires, or, with ``memory_bytes``,
+    one whose ``run_bytes`` exceeds it, is refused at its header.
     """
     n_qubits: int | None = None
     ops: list[GateOp] = []
@@ -81,8 +81,8 @@ def parse_circuit(text: str, memory_bytes: int | None = None) -> Circuit:
             if not word.isdigit():
                 raise CircuitError(f"invalid qubit count {word!r}", lineno, col)
             n_qubits = int(word)
-            if not 1 <= n_qubits <= MAX_QUBITS:
-                raise CircuitError(f"qubit count {n_qubits} out of range 1..{MAX_QUBITS}", lineno, col)
+            if not 1 <= n_qubits <= max_qubits:
+                raise CircuitError(f"qubit count {n_qubits} out of range 1..{max_qubits}", lineno, col)
             if memory_bytes is not None and run_bytes(n_qubits) > memory_bytes:
                 raise CircuitError(
                     f"qubit count {n_qubits} needs about {run_bytes(n_qubits) / 2**30:.3g} GiB to run, "
@@ -122,11 +122,10 @@ def parse_circuit(text: str, memory_bytes: int | None = None) -> Circuit:
             if not math.isfinite(value):
                 raise CircuitError(f"non-finite parameter {word!r}", lineno, pcol)
             params.append(value)
-        if name == "u2":
-            try:
-                check_unitary_2x2(u2_matrix(params))
-            except ValueError as exc:
-                raise CircuitError(str(exc), lineno, toks[1 + spec.wires][1]) from None
+        try:
+            spec.words(*params)
+        except ValueError as exc:
+            raise CircuitError(str(exc), lineno, toks[1 + spec.wires][1]) from None
         ops.append(GateOp(name, tuple(wires), tuple(params)))
     if n_qubits is None:
         raise CircuitError("empty circuit file, expected 'qubits N' header", 1)

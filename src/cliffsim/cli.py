@@ -14,7 +14,7 @@ from .circuit import CircuitError, parse_bits, parse_circuit, run_clifford
 from .gates import GATE_SPECS, build_gate
 from .matrix_backend import MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
 from .real_ga import bloch_angles, bloch_verify, iso_check
-from .witt import WittContext, render_witt, state_to_amplitudes
+from .witt import MAX_QUBITS, WittContext, render_witt, state_to_amplitudes
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -54,8 +54,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.circuit}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # The dense oracle is capped, so a matrix run is refused before either backend starts.
+    max_qubits = MAX_QUBITS if args.backend == "clifford" else MAX_DENSE_QUBITS
     try:
-        circuit = parse_circuit(text, memory_bytes=_physical_memory())
+        circuit = parse_circuit(text, memory_bytes=_physical_memory(), max_qubits=max_qubits)
         bits = parse_bits(args.init, circuit.n_qubits) if args.init else None
     except (CircuitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,11 @@ the factor on wire k enters as its even part plus Z_1 ... Z_{k-1} times its
 odd part (f_k, f_k^dagger).  These dressed factors on distinct wires commute,
 and their product acts on product states exactly like the ordinary tensor
 product of the factors.
+
+Each registry gate in ``GATE_SPECS`` is data: a sum of words, each word
+giving one wire's coordinates on that span (or None for the identity) per
+gate wire, e.g. CNOT = f_1 f_1^dagger + f_1^dagger f_1 (f_2 + f_2^dagger).
+``build_gate`` is the one builder and validator of a named gate.
 """
 
 from __future__ import annotations
@@ -30,18 +35,8 @@ __all__ = [
     "GATE_SPECS",
     "apply",
     "build_gate",
-    "gate_ccnot",
-    "gate_cnot",
-    "gate_cswap",
-    "gate_cz",
     "gate_from_u2",
-    "gate_h",
     "gate_identity",
-    "gate_phase",
-    "gate_swap",
-    "gate_x",
-    "gate_y",
-    "gate_z",
     "is_unitary",
     "ketbra",
     "measure_probabilities",
@@ -58,6 +53,13 @@ class GateElement:
     value: Multivector
 
 
+# Coordinates (a, b, c, d) of a wire operator on (f f^dag, f, f^dag, f^dag f).
+Coordinates = tuple[complex, complex, complex, complex]
+# A gate as a sum of words; a word holds, per gate wire, its coordinates or
+# None for the identity.
+Words = tuple[tuple[Coordinates | None, ...], ...]
+
+
 def _check_support(ctx: WittContext, factor: Multivector, k: int) -> tuple[int, int]:
     """Blade masks of e_k and e_{k+n}.
 
@@ -71,7 +73,7 @@ def _check_support(ctx: WittContext, factor: Multivector, k: int) -> tuple[int, 
     return e_bit, en_bit
 
 
-def wire_coordinates(ctx: WittContext, factor: Multivector, k: int) -> tuple[complex, complex, complex, complex]:
+def wire_coordinates(ctx: WittContext, factor: Multivector, k: int) -> Coordinates:
     """Coordinates (a, b, c, d) of a wire-k operator on (f f^dag, f, f^dag, f^dag f).
 
     Raises if the factor touches generators outside wire k.
@@ -84,6 +86,20 @@ def wire_coordinates(ctx: WittContext, factor: Multivector, k: int) -> tuple[com
     return (s - 1j * w, u + 1j * v, u - 1j * v, s + 1j * w)
 
 
+def _local(ctx: WittContext, k: int, coords: Coordinates) -> Multivector:
+    """Wire-k operator with coordinates (a, b, c, d) on (f f^dag, f, f^dag, f^dag f).
+
+    The inverse of ``wire_coordinates``: f = (e_k - i e_{k+n}) / 2 and
+    f f^dag = (1 + i e_k e_{k+n}) / 2.
+    """
+    a, b, c, d = coords
+    e_bit, en_bit = 1 << (k - 1), 1 << (k + ctx.n - 1)
+    return Multivector(
+        ctx.signature,
+        {0: (a + d) / 2, e_bit: (b + c) / 2, en_bit: 1j * (c - b) / 2, e_bit | en_bit: 1j * (a - d) / 2},
+    )
+
+
 def _super_words(ctx: WittContext, wire_factors: dict[int, Multivector]) -> Multivector:
     """Product over sorted wires k of even_k + Z_1 ... Z_{k-1} odd_k."""
     sig, n = ctx.signature, ctx.n
@@ -93,7 +109,10 @@ def _super_words(ctx: WittContext, wire_factors: dict[int, Multivector]) -> Mult
         _check_support(ctx, factor, k)
         even = Multivector(sig, {m: c for m, c in factor.terms.items() if not m.bit_count() & 1})
         odd = Multivector(sig, {m: c for m, c in factor.terms.items() if m.bit_count() & 1})
-        zs = Multivector.blade(sig, [g for j in range(1, k) for g in (j, j + n)], 1j ** (k - 1))
+        # Z_1 ... Z_{k-1} = i^(k-1) e_1 e_{1+n} ... e_{k-1} e_{k-1+n}; sorting the
+        # generators into blade order takes (k-1)(k-2)/2 transpositions.
+        low = (1 << (k - 1)) - 1
+        zs = Multivector(sig, {low | low << n: (-1) ** ((k - 1) * (k - 2) // 2) * 1j ** (k - 1)})
         out = out * (even + zs * odd)
     return out
 
@@ -110,57 +129,11 @@ def super_tensor(ctx: WittContext, factors: Sequence[Multivector | None]) -> Gat
     return GateElement(ctx.n, _super_words(ctx, present))
 
 
-# -- local single-wire operators ------------------------------------------------
-
-
-def _local_x(ctx: WittContext, k: int) -> Multivector:
-    return ctx.fdag(k) + ctx.f(k)
-
-
-def _local_y(ctx: WittContext, k: int) -> Multivector:
-    return 1j * ctx.fdag(k) - 1j * ctx.f(k)
-
-
-def _local_z(ctx: WittContext, k: int) -> Multivector:
-    return ctx.proj0(k) - ctx.proj1(k)
-
-
-def _local_h(ctx: WittContext, k: int) -> Multivector:
-    return (ctx.proj0(k) - ctx.proj1(k) + ctx.f(k) + ctx.fdag(k)) * (1.0 / math.sqrt(2.0))
-
-
-def _local_phase(ctx: WittContext, k: int, phi: float) -> Multivector:
-    return ctx.proj0(k) + cmath.exp(1j * phi) * ctx.proj1(k)
-
-
-# -- named gates -----------------------------------------------------------------
-
-
 def gate_identity(ctx: WittContext) -> GateElement:
     return GateElement(ctx.n, ctx.one())
 
 
-def gate_x(ctx: WittContext, k: int) -> GateElement:
-    return GateElement(ctx.n, _super_words(ctx, {k: _local_x(ctx, k)}))
-
-
-def gate_y(ctx: WittContext, k: int) -> GateElement:
-    return GateElement(ctx.n, _super_words(ctx, {k: _local_y(ctx, k)}))
-
-
-def gate_z(ctx: WittContext, k: int) -> GateElement:
-    return GateElement(ctx.n, _super_words(ctx, {k: _local_z(ctx, k)}))
-
-
-def gate_h(ctx: WittContext, k: int) -> GateElement:
-    return GateElement(ctx.n, _super_words(ctx, {k: _local_h(ctx, k)}))
-
-
-def gate_phase(ctx: WittContext, k: int, phi: float) -> GateElement:
-    return GateElement(ctx.n, _super_words(ctx, {k: _local_phase(ctx, k, phi)}))
-
-
-def check_unitary_2x2(matrix) -> tuple[complex, complex, complex, complex]:
+def check_unitary_2x2(matrix) -> Coordinates:
     """Entries (a, b, c, d) of [[a, b], [c, d]]; ValueError unless unitary to UNITARY_TOL."""
     (a, b), (c, d) = matrix
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
@@ -174,74 +147,11 @@ def check_unitary_2x2(matrix) -> tuple[complex, complex, complex, complex]:
     return a, b, c, d
 
 
-def u2_matrix(params: Sequence[float]) -> list[list[complex]]:
-    """[[a, b], [c, d]] from the eight re/im parameters of a u2 line."""
-    a, b, c, d = (complex(params[i], params[i + 1]) for i in range(0, 8, 2))
-    return [[a, b], [c, d]]
-
-
 def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:
     """Wire-k gate from a 2x2 unitary [[a, b], [c, d]]."""
-    a, b, c, d = check_unitary_2x2(matrix)
-    local = a * ctx.proj0(k) + b * ctx.f(k) + c * ctx.fdag(k) + d * ctx.proj1(k)
-    return GateElement(ctx.n, _super_words(ctx, {k: local}))
-
-
-def _check_distinct(ctx: WittContext, wires: Sequence[int]) -> None:
-    for w in wires:
-        ctx._check_wire(w)
-    if len(set(wires)) != len(wires):
-        raise ValueError(f"wires must be distinct, got {tuple(wires)}")
-
-
-def gate_cnot(ctx: WittContext, control: int, target: int) -> GateElement:
-    _check_distinct(ctx, (control, target))
-    value = _super_words(ctx, {control: ctx.proj0(control)}) + _super_words(
-        ctx, {control: ctx.proj1(control), target: _local_x(ctx, target)}
-    )
-    return GateElement(ctx.n, value)
-
-
-def gate_cz(ctx: WittContext, control: int, target: int) -> GateElement:
-    _check_distinct(ctx, (control, target))
-    value = _super_words(ctx, {control: ctx.proj0(control)}) + _super_words(
-        ctx, {control: ctx.proj1(control), target: _local_z(ctx, target)}
-    )
-    return GateElement(ctx.n, value)
-
-
-def gate_swap(ctx: WittContext, a: int, b: int) -> GateElement:
-    _check_distinct(ctx, (a, b))
-    value = (
-        _super_words(ctx, {a: ctx.proj0(a), b: ctx.proj0(b)})
-        + _super_words(ctx, {a: ctx.proj1(a), b: ctx.proj1(b)})
-        + _super_words(ctx, {a: ctx.fdag(a), b: ctx.f(b)})
-        + _super_words(ctx, {a: ctx.f(a), b: ctx.fdag(b)})
-    )
-    return GateElement(ctx.n, value)
-
-
-def gate_ccnot(ctx: WittContext, c1: int, c2: int, target: int) -> GateElement:
-    _check_distinct(ctx, (c1, c2, target))
-    value = (
-        _super_words(ctx, {c1: ctx.proj0(c1)})
-        + _super_words(ctx, {c1: ctx.proj1(c1), c2: ctx.proj0(c2)})
-        + _super_words(ctx, {c1: ctx.proj1(c1), c2: ctx.proj1(c2), target: _local_x(ctx, target)})
-    )
-    return GateElement(ctx.n, value)
-
-
-def gate_cswap(ctx: WittContext, control: int, t1: int, t2: int) -> GateElement:
-    _check_distinct(ctx, (control, t1, t2))
-    k = control
-    value = (
-        _super_words(ctx, {k: ctx.proj0(k)})
-        + _super_words(ctx, {k: ctx.proj1(k), t1: ctx.proj0(t1), t2: ctx.proj0(t2)})
-        + _super_words(ctx, {k: ctx.proj1(k), t1: ctx.proj1(t1), t2: ctx.proj1(t2)})
-        + _super_words(ctx, {k: ctx.proj1(k), t1: ctx.fdag(t1), t2: ctx.f(t2)})
-        + _super_words(ctx, {k: ctx.proj1(k), t1: ctx.f(t1), t2: ctx.fdag(t2)})
-    )
-    return GateElement(ctx.n, value)
+    coords = check_unitary_2x2(matrix)
+    ctx._check_wire(k)
+    return GateElement(ctx.n, _super_words(ctx, {k: _local(ctx, k, coords)}))
 
 
 # -- operator construction from states ------------------------------------------
@@ -319,41 +229,63 @@ def measure_probabilities(ctx: WittContext, state: SpinorState) -> list[float]:
 
 # -- registry -----------------------------------------------------------------------
 
+P0, F, FDAG, P1 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+_R = 1.0 / math.sqrt(2.0)
+
+
+def _one_wire(coords: Coordinates) -> Words:
+    return ((coords,),)
+
+
+X = _one_wire((0, 1, 1, 0))
+Y = _one_wire((0, -1j, 1j, 0))
+Z = _one_wire((1, 0, 0, -1))
+H = _one_wire((_R, _R, _R, -_R))
+SWAP = ((P0, P0), (P1, P1), (FDAG, F), (F, FDAG))
+
+
+def _phase(phi: float) -> Words:
+    return _one_wire((1, 0, 0, cmath.exp(1j * phi)))
+
+
+def _u2(*params: float) -> Words:
+    """[[a, b], [c, d]] from the re/im pairs of a, b, c, d; ValueError unless unitary."""
+    a, b, c, d = (complex(params[i], params[i + 1]) for i in range(0, 8, 2))
+    return _one_wire(check_unitary_2x2([[a, b], [c, d]]))
+
+
+def _controlled(u: Words) -> Words:
+    """P0 (x) 1 + P1 (x) U, with the control on the first wire."""
+    return ((P0,) + (None,) * len(u[0]),) + tuple((P1,) + word for word in u)
+
 
 @dataclass(frozen=True)
 class GateSpec:
-    """Arity and builder for a named gate."""
+    """Arity, parameter count and Witt words of a named gate."""
 
     wires: int
     params: int
-    build: Callable[..., GateElement]
-
-
-def _build_s(ctx: WittContext, k: int) -> GateElement:
-    return gate_phase(ctx, k, math.pi / 2.0)
-
-
-def _build_u2(ctx: WittContext, k: int, *p: float) -> GateElement:
-    return gate_from_u2(ctx, k, u2_matrix(p))
+    words: Callable[..., Words]
 
 
 GATE_SPECS: dict[str, GateSpec] = {
-    "x": GateSpec(1, 0, gate_x),
-    "y": GateSpec(1, 0, gate_y),
-    "z": GateSpec(1, 0, gate_z),
-    "h": GateSpec(1, 0, gate_h),
-    "s": GateSpec(1, 0, _build_s),
-    "phase": GateSpec(1, 1, gate_phase),
-    "u2": GateSpec(1, 8, _build_u2),
-    "cnot": GateSpec(2, 0, gate_cnot),
-    "cz": GateSpec(2, 0, gate_cz),
-    "swap": GateSpec(2, 0, gate_swap),
-    "ccnot": GateSpec(3, 0, gate_ccnot),
-    "cswap": GateSpec(3, 0, gate_cswap),
+    "x": GateSpec(1, 0, lambda: X),
+    "y": GateSpec(1, 0, lambda: Y),
+    "z": GateSpec(1, 0, lambda: Z),
+    "h": GateSpec(1, 0, lambda: H),
+    "s": GateSpec(1, 0, lambda: _phase(math.pi / 2.0)),
+    "phase": GateSpec(1, 1, _phase),
+    "u2": GateSpec(1, 8, _u2),
+    "cnot": GateSpec(2, 0, lambda: _controlled(X)),
+    "cz": GateSpec(2, 0, lambda: _controlled(Z)),
+    "swap": GateSpec(2, 0, lambda: SWAP),
+    "ccnot": GateSpec(3, 0, lambda: _controlled(_controlled(X))),
+    "cswap": GateSpec(3, 0, lambda: _controlled(SWAP)),
 }
 
 
 def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
+    """The registry gate ``name`` on ``wires``: the sum of its words' super tensor products."""
     spec = GATE_SPECS.get(name)
     if spec is None:
         raise ValueError(f"unknown gate {name!r}")
@@ -361,4 +293,15 @@ def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequen
         raise ValueError(f"gate {name!r} takes {spec.wires} wire(s), got {len(wires)}")
     if len(params) != spec.params:
         raise ValueError(f"gate {name!r} takes {spec.params} parameter(s), got {len(params)}")
-    return spec.build(ctx, *wires, *params)
+    for w in wires:
+        ctx._check_wire(w)
+    if len(set(wires)) != len(wires):
+        raise ValueError(f"wires must be distinct, got {tuple(wires)}")
+    if not all(math.isfinite(p) for p in params):
+        raise ValueError(f"gate {name!r} takes finite parameters, got {tuple(params)}")
+    terms = [
+        _super_words(ctx, {k: _local(ctx, k, c) for k, c in zip(wires, word) if c is not None})
+        for word in spec.words(*params)
+    ]
+    # Summed from the first word, not from 0: 0j + c turns a -0.0 part into +0.0.
+    return GateElement(ctx.n, sum(terms[1:], terms[0]))

@@ -3,7 +3,8 @@
 A basis blade e_{j1}..e_{jr} (ascending generator order) is encoded as a
 bitmask with bit j-1 set iff generator e_j occurs; the empty mask is the
 scalar blade 1.  A multivector is a map from blade mask to a complex
-coefficient, pruned of entries below ``PRUNE_EPS``.
+coefficient, pruned of entries below ``PRUNE_EPS``; a non-finite
+coefficient is never pruned.
 
 Sign conventions, per grade-r blade:
 
@@ -106,7 +107,7 @@ class Multivector:
                 if not 0 <= mask < limit:
                     raise ValueError(f"blade mask {mask:#x} outside algebra of dim {signature.dim}")
                 c = complex(coeff)
-                if abs(c) >= PRUNE_EPS:
+                if not abs(c) < PRUNE_EPS:  # keeps NaN, which fails every comparison
                     pruned[mask] = c
         self.terms = pruned
 
@@ -145,7 +146,7 @@ class Multivector:
     def _from_raw(cls, signature: Signature, terms: dict[int, complex]) -> Multivector:
         mv = cls.__new__(cls)
         mv.signature = signature
-        mv.terms = {m: c for m, c in terms.items() if abs(c) >= PRUNE_EPS}
+        mv.terms = {m: c for m, c in terms.items() if not abs(c) < PRUNE_EPS}
         return mv
 
     # -- basics ------------------------------------------------------------

@@ -16,16 +16,7 @@ from cliffsim.gates import (
     GateElement,
     apply,
     build_gate,
-    gate_ccnot,
-    gate_cnot,
-    gate_cswap,
-    gate_cz,
     gate_from_u2,
-    gate_h,
-    gate_swap,
-    gate_x,
-    gate_y,
-    gate_z,
     is_unitary,
     super_tensor,
     wire_coordinates,
@@ -118,19 +109,19 @@ def test_criterion_4_single_gate_golden_forms():
     f, fd = ctx.f(1), ctx.fdag(1)
     e1 = Multivector.basis_vector(ctx.signature, 1)
     e2 = Multivector.basis_vector(ctx.signature, 2)
-    ok = gate_x(ctx, 1).value.terms == (fd + f).terms
-    ok &= gate_x(ctx, 1).value.terms == e1.terms
-    ok &= gate_y(ctx, 1).value.terms == (1j * fd - 1j * f).terms
-    ok &= gate_y(ctx, 1).value.terms == (-e2).terms
-    ok &= gate_z(ctx, 1).value.terms == (f * fd - fd * f).terms
-    ok &= gate_z(ctx, 1).value.terms == (1j * e1.outer(e2)).terms
-    xz = gate_x(ctx, 1).value * gate_z(ctx, 1).value
+    ok = build_gate(ctx, "x", (1,)).value.terms == (fd + f).terms
+    ok &= build_gate(ctx, "x", (1,)).value.terms == e1.terms
+    ok &= build_gate(ctx, "y", (1,)).value.terms == (1j * fd - 1j * f).terms
+    ok &= build_gate(ctx, "y", (1,)).value.terms == (-e2).terms
+    ok &= build_gate(ctx, "z", (1,)).value.terms == (f * fd - fd * f).terms
+    ok &= build_gate(ctx, "z", (1,)).value.terms == (1j * e1.outer(e2)).terms
+    xz = build_gate(ctx, "x", (1,)).value * build_gate(ctx, "z", (1,)).value
     ok &= xz.terms == (fd - f).terms
-    ok &= (gate_x(ctx, 1).value * gate_x(ctx, 1).value).terms == {0: 1 + 0j}
+    ok &= (build_gate(ctx, "x", (1,)).value * build_gate(ctx, "x", (1,)).value).terms == {0: 1 + 0j}
     h_witt = (f * fd - fd * f + f + fd) * (1.0 / math.sqrt(2.0))
-    ok &= gate_h(ctx, 1).value.max_coeff_diff(h_witt) < 1e-13
-    h_exp = gate_x(ctx, 1).value * exp_element(-1j * (math.pi / 4.0) * gate_y(ctx, 1).value)
-    ok &= h_exp.max_coeff_diff(gate_h(ctx, 1).value) < 1e-13
+    ok &= build_gate(ctx, "h", (1,)).value.max_coeff_diff(h_witt) < 1e-13
+    h_exp = build_gate(ctx, "x", (1,)).value * exp_element(-1j * (math.pi / 4.0) * build_gate(ctx, "y", (1,)).value)
+    ok &= h_exp.max_coeff_diff(build_gate(ctx, "h", (1,)).value) < 1e-13
     ok &= h_exp.max_coeff_diff(h_witt) < 1e-13
     _report(4, "single-qubit golden forms (X, Y, Z exact; H via exp < 1e-13)", ok)
     assert ok
@@ -145,9 +136,9 @@ def test_criterion_5_multi_gate_golden_forms():
         "swap": f1 * fd1 * f2 * fd2 + fd1 * f1 * fd2 * f2 + fd1 * f2 - f1 * fd2,
     }
     built = {
-        "cnot": gate_cnot(ctx2, 1, 2).value,
-        "cz": gate_cz(ctx2, 1, 2).value,
-        "swap": gate_swap(ctx2, 1, 2).value,
+        "cnot": build_gate(ctx2, "cnot", (1, 2)).value,
+        "cz": build_gate(ctx2, "cz", (1, 2)).value,
+        "swap": build_gate(ctx2, "swap", (1, 2)).value,
     }
     ok = all(built[k].max_coeff_diff(closed[k]) < 1e-12 for k in closed)
 
@@ -178,8 +169,8 @@ def test_criterion_5_multi_gate_golden_forms():
     cswap_closed = g1 * gd1 + gd1 * g1 * (
         g2 * gd2 * g3 * gd3 + gd2 * g2 * gd3 * g3 + gd2 * g3 - g2 * gd3
     )
-    ok &= gate_ccnot(ctx3, 1, 2, 3).value.max_coeff_diff(ccnot_closed) < 1e-12
-    ok &= gate_cswap(ctx3, 1, 2, 3).value.max_coeff_diff(cswap_closed) < 1e-12
+    ok &= build_gate(ctx3, "ccnot", (1, 2, 3)).value.max_coeff_diff(ccnot_closed) < 1e-12
+    ok &= build_gate(ctx3, "cswap", (1, 2, 3)).value.max_coeff_diff(cswap_closed) < 1e-12
     ccnot_dec = (
         super_tensor(ctx3, [ctx3.proj0(1), None, None]).value
         + super_tensor(ctx3, [ctx3.proj1(1), ctx3.proj0(2), None]).value
@@ -192,8 +183,8 @@ def test_criterion_5_multi_gate_golden_forms():
         + super_tensor(ctx3, [ctx3.proj1(1), ctx3.fdag(2), ctx3.f(3)]).value
         + super_tensor(ctx3, [ctx3.proj1(1), ctx3.f(2), ctx3.fdag(3)]).value
     )
-    ok &= ccnot_dec.terms == gate_ccnot(ctx3, 1, 2, 3).value.terms
-    ok &= cswap_dec.terms == gate_cswap(ctx3, 1, 2, 3).value.terms
+    ok &= ccnot_dec.terms == build_gate(ctx3, "ccnot", (1, 2, 3)).value.terms
+    ok &= cswap_dec.terms == build_gate(ctx3, "cswap", (1, 2, 3)).value.terms
     _report(5, "multi-qubit golden forms and controlled decompositions", ok)
     assert ok
 

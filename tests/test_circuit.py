@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsim.circuit import (
     Circuit,
@@ -14,7 +17,29 @@ from cliffsim.circuit import (
     run_bytes,
     run_clifford,
 )
+from cliffsim.gates import GATE_SPECS
+from cliffsim.matrix_backend import random_unitary_2x2
 from cliffsim.witt import state_to_amplitudes
+
+
+@st.composite
+def registry_circuits(draw):
+    """Circuits of registry gates on distinct wires; u2 lines hold a seeded unitary."""
+    n = draw(st.integers(1, 5))
+    names = sorted(name for name, spec in GATE_SPECS.items() if spec.wires <= n)
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        name = draw(st.sampled_from(names))
+        spec = GATE_SPECS[name]
+        wires = tuple(draw(st.permutations(range(1, n + 1)))[: spec.wires])
+        if name == "u2":
+            u = random_unitary_2x2(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+            params = tuple(float(x) for e in u.flat for x in (e.real, e.imag))
+        else:
+            finite = st.floats(allow_nan=False, allow_infinity=False)
+            params = tuple(draw(finite) for _ in range(spec.params))
+        ops.append(GateOp(name, wires, params))
+    return Circuit(n, tuple(ops))
 
 
 class TestParsing:
@@ -134,6 +159,11 @@ class TestRoundTrip:
         first = parse_circuit(text)
         second = parse_circuit(render_circuit(first))
         assert first == second
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(registry_circuits())
+    def test_random_circuits_round_trip(self, circuit):
+        assert parse_circuit(render_circuit(circuit)) == circuit
 
     def test_render_starts_with_header(self):
         circuit = Circuit(2, (GateOp("x", (2,)),))

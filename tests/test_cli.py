@@ -112,6 +112,19 @@ class TestRun:
         path.write_text("qubits 2\nx 1\n")
         assert main(["run", str(path)]) == 0
 
+    @pytest.mark.parametrize("backend", ["matrix", "both"])
+    def test_register_beyond_matrix_cap_exits_2(self, tmp_path, capsys, monkeypatch, backend):
+        calls = []
+        monkeypatch.setattr(cliffsim.matrix_backend, "run_clifford", lambda *args: calls.append(args))
+        path = tmp_path / "c.qc"
+        path.write_text("# 13 wires\nqubits 13\nx 1\n")
+        assert main(["run", "--backend", backend, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2, column 8" in captured.err
+        assert "1..12" in captured.err
+        assert calls == []
+
     def test_json_non_finite_exits_1(self, bell_file, capsys, monkeypatch):
         def nan_state(circuit, bits=None):
             return amplitudes_to_state(WittContext(2), [math.nan, 0, 0, 0])
@@ -187,6 +200,13 @@ class TestBloch:
     def test_unnormalized_exits_2(self, capsys):
         assert main(["bloch", "1", "1"]) == 2
 
+    @pytest.mark.parametrize("pair", [["nan", "0"], ["0", "nan"]])
+    def test_non_finite_amplitude_exits_2(self, capsys, pair):
+        assert main(["bloch", *pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not normalized" in captured.err
+
 
 class TestIsoCheck:
     def test_passes(self, capsys):
@@ -205,6 +225,13 @@ class TestGateDump:
 
     def test_phase_with_param(self, capsys):
         assert main(["gate-dump", "phase", "--param", "3.141592653589793"]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "1e999"])
+    def test_non_finite_param_exits_2(self, capsys, value):
+        assert main(["gate-dump", "phase", "--param", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
 
     def test_unknown_gate_exits_2(self, capsys):
         assert main(["gate-dump", "nosuch"]) == 2

@@ -13,18 +13,8 @@ from cliffsim.gates import (
     GATE_SPECS,
     apply,
     build_gate,
-    gate_ccnot,
-    gate_cnot,
-    gate_cswap,
-    gate_cz,
     gate_from_u2,
-    gate_h,
     gate_identity,
-    gate_phase,
-    gate_swap,
-    gate_x,
-    gate_y,
-    gate_z,
     is_unitary,
     ketbra,
     measure_probabilities,
@@ -60,31 +50,31 @@ def ctx3():
 
 class TestSingleQubitGoldenForms:
     def test_x_equals_first_generator(self, ctx1):
-        g = gate_x(ctx1, 1)
+        g = build_gate(ctx1, "x", (1,))
         assert g.value.terms == (ctx1.fdag(1) + ctx1.f(1)).terms
         assert g.value.terms == Multivector.basis_vector(ctx1.signature, 1).terms
 
     def test_y_equals_minus_second_generator(self, ctx1):
-        g = gate_y(ctx1, 1)
+        g = build_gate(ctx1, "y", (1,))
         assert g.value.terms == (1j * ctx1.fdag(1) - 1j * ctx1.f(1)).terms
         assert g.value.terms == (-Multivector.basis_vector(ctx1.signature, 2)).terms
 
     def test_z_equals_imaginary_bivector(self, ctx1):
-        g = gate_z(ctx1, 1)
+        g = build_gate(ctx1, "z", (1,))
         assert g.value.terms == (ctx1.proj0(1) - ctx1.proj1(1)).terms
         e1 = Multivector.basis_vector(ctx1.signature, 1)
         e2 = Multivector.basis_vector(ctx1.signature, 2)
         assert g.value.terms == (1j * e1.outer(e2)).terms
 
     def test_x_flips_basis_states(self, ctx1):
-        g = gate_x(ctx1, 1)
+        g = build_gate(ctx1, "x", (1,))
         assert apply(g, basis_state(ctx1, [0])).value.terms == basis_state(ctx1, [1]).value.terms
         assert apply(g, basis_state(ctx1, [1])).value.terms == basis_state(ctx1, [0]).value.terms
 
     def test_xz_product(self, ctx1):
         from cliffsim.gates import GateElement
 
-        xz = gate_x(ctx1, 1).value * gate_z(ctx1, 1).value
+        xz = build_gate(ctx1, "x", (1,)).value * build_gate(ctx1, "z", (1,)).value
         assert xz.terms == (ctx1.fdag(1) - ctx1.f(1)).terms
         # Z negates |1>, then X flips it: XZ|1> = -|0>
         flipped = apply(GateElement(1, xz), basis_state(ctx1, [1]))
@@ -92,27 +82,27 @@ class TestSingleQubitGoldenForms:
 
     def test_involutions(self, ctx1):
         one = {0: 1 + 0j}
-        assert (gate_x(ctx1, 1).value * gate_x(ctx1, 1).value).terms == one
-        assert (gate_y(ctx1, 1).value * gate_y(ctx1, 1).value).terms == one
-        assert (gate_z(ctx1, 1).value * gate_z(ctx1, 1).value).terms == one
+        assert (build_gate(ctx1, "x", (1,)).value * build_gate(ctx1, "x", (1,)).value).terms == one
+        assert (build_gate(ctx1, "y", (1,)).value * build_gate(ctx1, "y", (1,)).value).terms == one
+        assert (build_gate(ctx1, "z", (1,)).value * build_gate(ctx1, "z", (1,)).value).terms == one
 
 
 class TestPhaseGate:
     def test_zero_angle_is_identity(self, ctx1):
-        assert gate_phase(ctx1, 1, 0.0).value.terms == {0: 1 + 0j}
+        assert build_gate(ctx1, "phase", (1,), (0.0,)).value.terms == {0: 1 + 0j}
 
     def test_pi_gives_z(self, ctx1):
-        g = gate_phase(ctx1, 1, math.pi)
-        assert g.value.max_coeff_diff(gate_z(ctx1, 1).value) < 1e-12
+        g = build_gate(ctx1, "phase", (1,), (math.pi,))
+        assert g.value.max_coeff_diff(build_gate(ctx1, "z", (1,)).value) < 1e-12
 
     def test_s_squares_to_z(self, ctx1):
-        s = gate_phase(ctx1, 1, math.pi / 2)
-        assert (s.value * s.value).max_coeff_diff(gate_z(ctx1, 1).value) < 1e-12
+        s = build_gate(ctx1, "phase", (1,), (math.pi / 2,))
+        assert (s.value * s.value).max_coeff_diff(build_gate(ctx1, "z", (1,)).value) < 1e-12
 
 
 class TestHadamard:
     def test_witt_and_blade_forms(self, ctx1):
-        g = gate_h(ctx1, 1)
+        g = build_gate(ctx1, "h", (1,))
         r = 1.0 / math.sqrt(2.0)
         expected = (ctx1.proj0(1) - ctx1.proj1(1) + ctx1.f(1) + ctx1.fdag(1)) * r
         assert g.value.max_coeff_diff(expected) < 1e-13
@@ -121,18 +111,18 @@ class TestHadamard:
         assert g.value.max_coeff_diff(r * (e1 + 1j * e1.outer(e2))) < 1e-13
 
     def test_square_is_identity(self, ctx1):
-        h = gate_h(ctx1, 1).value
+        h = build_gate(ctx1, "h", (1,)).value
         assert (h * h).max_coeff_diff(ctx1.one()) < 1e-13
 
     def test_action_on_zero(self, ctx1):
-        amps = state_to_amplitudes(ctx1, apply(gate_h(ctx1, 1), basis_state(ctx1, [0])))
+        amps = state_to_amplitudes(ctx1, apply(build_gate(ctx1, "h", (1,)), basis_state(ctx1, [0])))
         r = 1.0 / math.sqrt(2.0)
         assert abs(amps[0] - r) < 1e-13 and abs(amps[1] - r) < 1e-13
 
     def test_from_exponential(self, ctx1):
-        y = gate_y(ctx1, 1).value
-        h = gate_x(ctx1, 1).value * exp_element(-1j * (math.pi / 4.0) * y)
-        assert h.max_coeff_diff(gate_h(ctx1, 1).value) < 1e-13
+        y = build_gate(ctx1, "y", (1,)).value
+        h = build_gate(ctx1, "x", (1,)).value * exp_element(-1j * (math.pi / 4.0) * y)
+        assert h.max_coeff_diff(build_gate(ctx1, "h", (1,)).value) < 1e-13
 
 
 class TestU2Correspondence:
@@ -299,13 +289,13 @@ class TestControlledGates:
         f1, fd1 = ctx2.f(1), ctx2.fdag(1)
         f2, fd2 = ctx2.f(2), ctx2.fdag(2)
         expected = f1 * fd1 - fd1 * f1 * (fd2 + f2)
-        assert gate_cnot(ctx2, 1, 2).value.terms == expected.terms
+        assert build_gate(ctx2, "cnot", (1, 2)).value.terms == expected.terms
 
     def test_cz_closed_form_and_decomposition(self, ctx2):
         f1, fd1 = ctx2.f(1), ctx2.fdag(1)
         f2, fd2 = ctx2.f(2), ctx2.fdag(2)
         expected = f1 * fd1 + fd1 * f1 * (f2 * fd2 - fd2 * f2)
-        got = gate_cz(ctx2, 1, 2).value
+        got = build_gate(ctx2, "cz", (1, 2)).value
         assert got.terms == expected.terms
         # controlled decomposition through the public tensor constructor
         alt = (
@@ -318,20 +308,20 @@ class TestControlledGates:
         f1, fd1 = ctx2.f(1), ctx2.fdag(1)
         f2, fd2 = ctx2.f(2), ctx2.fdag(2)
         expected = f1 * fd1 * f2 * fd2 + fd1 * f1 * fd2 * f2 + fd1 * f2 - f1 * fd2
-        assert gate_swap(ctx2, 1, 2).value.terms == expected.terms
+        assert build_gate(ctx2, "swap", (1, 2)).value.terms == expected.terms
 
     def test_swap_is_symmetric(self, ctx2):
-        assert gate_swap(ctx2, 1, 2).value.terms == gate_swap(ctx2, 2, 1).value.terms
+        assert build_gate(ctx2, "swap", (1, 2)).value.terms == build_gate(ctx2, "swap", (2, 1)).value.terms
 
     def test_cnot_action_table(self, ctx2):
-        g = gate_cnot(ctx2, 1, 2)
+        g = build_gate(ctx2, "cnot", (1, 2))
         table = {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 1), (1, 1): (1, 0)}
         for src, dst in table.items():
             got = apply(g, basis_state(ctx2, list(src)))
             assert got.value.terms == basis_state(ctx2, list(dst)).value.terms
 
     def test_swap_action(self, ctx2):
-        g = gate_swap(ctx2, 1, 2)
+        g = build_gate(ctx2, "swap", (1, 2))
         got = apply(g, basis_state(ctx2, [0, 1]))
         assert got.value.terms == basis_state(ctx2, [1, 0]).value.terms
 
@@ -349,10 +339,10 @@ class TestControlledGates:
         fd2, f2 = ctx3.fdag(2), ctx3.f(2)
         fd3, f3 = ctx3.fdag(3), ctx3.f(3)
         expected = ctx3.one() + fd1 * f1 * fd2 * f2 * (f3 + fd3 - ctx3.one())
-        assert gate_ccnot(ctx3, 1, 2, 3).value.terms == expected.terms
+        assert build_gate(ctx3, "ccnot", (1, 2, 3)).value.terms == expected.terms
 
     def test_toffoli_action(self, ctx3):
-        g = gate_ccnot(ctx3, 1, 2, 3)
+        g = build_gate(ctx3, "ccnot", (1, 2, 3))
         got = apply(g, basis_state(ctx3, [1, 1, 0]))
         assert got.value.terms == basis_state(ctx3, [1, 1, 1]).value.terms
         inert = apply(g, basis_state(ctx3, [0, 1, 0]))
@@ -365,21 +355,21 @@ class TestControlledGates:
         expected = f1 * fd1 + fd1 * f1 * (
             f2 * fd2 * f3 * fd3 + fd2 * f2 * fd3 * f3 + fd2 * f3 - f2 * fd3
         )
-        g = gate_cswap(ctx3, 1, 2, 3)
+        g = build_gate(ctx3, "cswap", (1, 2, 3))
         assert g.value.terms == expected.terms
         got = apply(g, basis_state(ctx3, [1, 0, 1]))
         assert got.value.terms == basis_state(ctx3, [1, 1, 0]).value.terms
 
     def test_distinct_wire_validation(self, ctx2):
         with pytest.raises(ValueError):
-            gate_cnot(ctx2, 1, 1)
+            build_gate(ctx2, "cnot", (1, 1))
         with pytest.raises(ValueError):
-            gate_cnot(ctx2, 1, 3)
+            build_gate(ctx2, "cnot", (1, 3))
 
 
 class TestUnitarity:
     def test_x_is_unitary(self, ctx1):
-        assert is_unitary(gate_x(ctx1, 1))
+        assert is_unitary(build_gate(ctx1, "x", (1,)))
 
     def test_bare_witt_element_is_not(self, ctx1):
         from cliffsim.gates import GateElement
@@ -387,7 +377,7 @@ class TestUnitarity:
         assert not is_unitary(GateElement(1, ctx1.f(1)))
 
     def test_gate_element_is_immutable(self, ctx1):
-        g = gate_x(ctx1, 1)
+        g = build_gate(ctx1, "x", (1,))
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.value = ctx1.one()
 
@@ -428,9 +418,9 @@ class TestUnitarity:
         rng = np.random.default_rng(127)
         u = random_unitary_2x2(rng)
         gates = [
-            gate_cnot(ctx2, 1, 2),
-            gate_h(ctx2, 2),
-            gate_swap(ctx2, 1, 2),
+            build_gate(ctx2, "cnot", (1, 2)),
+            build_gate(ctx2, "h", (2,)),
+            build_gate(ctx2, "swap", (1, 2)),
             gate_from_u2(ctx2, 2, u),
         ]
         for g in gates:
@@ -454,13 +444,13 @@ class TestApplication:
         rng = np.random.default_rng(131)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         s = amplitudes_to_state(ctx1, list(v))
-        h = gate_h(ctx1, 1)
+        h = build_gate(ctx1, "h", (1,))
         back = apply(h, apply(h, s))
         assert back.value.max_coeff_diff(s.value) < 1e-12
 
     def test_qubit_count_mismatch(self, ctx1, ctx2):
         with pytest.raises(ValueError):
-            apply(gate_x(ctx1, 1), basis_state(ctx2, [0, 0]))
+            apply(build_gate(ctx1, "x", (1,)), basis_state(ctx2, [0, 0]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_blade_action_matches_blade_product(self, n):
@@ -484,7 +474,7 @@ class TestApplication:
 
     def test_phase_rotation_eigenvalue(self, ctx1):
         theta = 1.234
-        gen = -0.5j * theta * gate_z(ctx1, 1).value
+        gen = -0.5j * theta * build_gate(ctx1, "z", (1,)).value
         rot = exp_element(gen)
         out = rot * basis_state(ctx1, [1]).value
         expected = cmath.exp(0.5j * theta) * basis_state(ctx1, [1]).value
@@ -497,12 +487,12 @@ class TestProbabilities:
         assert probs == [1, 0]
 
     def test_hadamard_state(self, ctx1):
-        probs = measure_probabilities(ctx1, apply(gate_h(ctx1, 1), basis_state(ctx1, [0])))
+        probs = measure_probabilities(ctx1, apply(build_gate(ctx1, "h", (1,)), basis_state(ctx1, [0])))
         assert abs(probs[0] - 0.5) < 1e-12 and abs(probs[1] - 0.5) < 1e-12
 
     def test_bell_state(self, ctx2):
-        state = apply(gate_h(ctx2, 1), basis_state(ctx2, [0, 0]))
-        state = apply(gate_cnot(ctx2, 1, 2), state)
+        state = apply(build_gate(ctx2, "h", (1,)), basis_state(ctx2, [0, 0]))
+        state = apply(build_gate(ctx2, "cnot", (1, 2)), state)
         probs = measure_probabilities(ctx2, state)
         expected = [0.5, 0.0, 0.0, 0.5]
         assert max(abs(p - e) for p, e in zip(probs, expected)) < 1e-12
@@ -526,6 +516,11 @@ class TestRegistry:
             build_gate(ctx2, "cnot", (1,))
         with pytest.raises(ValueError):
             build_gate(ctx2, "phase", (1,), ())
+
+    @pytest.mark.parametrize("params", [(math.nan,), (math.inf,), (-math.inf,)])
+    def test_non_finite_parameter_rejected(self, ctx1, params):
+        with pytest.raises(ValueError, match="finite"):
+            build_gate(ctx1, "phase", (1,), params)
 
     def test_registry_names(self):
         assert set(GATE_SPECS) == {

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsim.multivector import (
     EQ_TOL,
@@ -25,6 +27,17 @@ def random_multivector(rng, dim, nterms=6, sig=None):
         mask = int(rng.integers(0, 1 << dim))
         terms[mask] = complex(rng.normal(), rng.normal())
     return Multivector(sig, terms)
+
+
+# Sparse multivectors with Gaussian-integer coefficients in a mixed signature:
+# every product and sum stays exact, so the algebra laws hold term for term.
+signatures = st.builds(Signature, st.integers(0, 4), st.integers(0, 3))
+
+
+def sparse_multivectors(sig):
+    masks = st.integers(0, (1 << sig.dim) - 1)
+    coeffs = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+    return st.dictionaries(masks, coeffs, max_size=6).map(lambda terms: Multivector(sig, terms))
 
 
 class TestBladeProduct:
@@ -275,6 +288,20 @@ class TestAlgebraLaws:
             z = random_multivector(rng, 4)
             assert (x * (y + z)).max_coeff_diff(x * y + x * z) < 1e-12
 
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_associativity_mixed_signature(self, data):
+        sig = data.draw(signatures, label="signature")
+        x, y, z = (data.draw(sparse_multivectors(sig), label=name) for name in "xyz")
+        assert ((x * y) * z).terms == (x * (y * z)).terms
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dagger_is_anti_automorphism(self, data):
+        sig = data.draw(signatures, label="signature")
+        x, y = (data.draw(sparse_multivectors(sig), label=name) for name in "xy")
+        assert (x * y).dagger().terms == (y.dagger() * x.dagger()).terms
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_generator_anticommutation(self, dim):
         sig = Signature(dim)
@@ -345,6 +372,15 @@ class TestHygiene:
     def test_prune_drops_dust(self):
         x = Multivector(Signature(2), {0: 1.0, 0b01: 1e-16})
         assert 0b01 not in x.terms
+
+    def test_non_finite_coefficients_kept(self):
+        sig = Signature(2)
+        x = Multivector(sig, {0: math.nan, 0b01: math.inf, 0b10: 1e-16})
+        assert set(x.terms) == {0, 0b01}
+        # sums, negation and scalar products prune through the raw constructor
+        assert math.isnan((Multivector.scalar(sig, math.inf) - Multivector.scalar(sig, math.inf)).terms[0].real)
+        assert set((x * 2.0).terms) == {0, 0b01}
+        assert set((-x).terms) == {0, 0b01}
 
     def test_equality_tolerance(self):
         x = Multivector.scalar(Signature(2), 1.0)
