@@ -12,11 +12,10 @@ are ignored.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
-from .gates import GATE_SPECS, apply, build_gate
+from .gates import GateOpError, apply, build_gate, gate_spec, gate_words
 from .witt import MAX_QUBITS, SpinorState, WittContext, basis_state
 
 
@@ -60,6 +59,18 @@ def _tokens(text_line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
 
 
+def _lex(word: str, index: int, wire: bool) -> int | float:
+    """Token ``index`` of a gate op as a wire (decimal digits) or a parameter (a float)."""
+    if wire and word.isdecimal():
+        return int(word)
+    if not wire:
+        try:
+            return float(word)
+        except ValueError:
+            pass
+    raise GateOpError(f"invalid {'wire' if wire else 'parameter'} {word!r}", index)
+
+
 def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = MAX_QUBITS) -> Circuit:
     """Parse and validate a circuit file.
 
@@ -78,7 +89,7 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
             if len(toks) != 2:
                 raise CircuitError("header must be exactly 'qubits N'", lineno, toks[0][1])
             word, col = toks[1]
-            if not word.isdigit():
+            if not word.isdecimal():
                 raise CircuitError(f"invalid qubit count {word!r}", lineno, col)
             n_qubits = int(word)
             if not 1 <= n_qubits <= max_qubits:
@@ -91,42 +102,15 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
                     col,
                 )
             continue
-        name, col = toks[0]
-        name = name.lower()
-        spec = GATE_SPECS.get(name)
-        if spec is None:
-            raise CircuitError(f"unknown gate {name!r}", lineno, col)
-        expected = 1 + spec.wires + spec.params
-        if len(toks) != expected:
-            raise CircuitError(
-                f"gate {name!r} takes {spec.wires} wire(s) and {spec.params} parameter(s)",
-                lineno,
-                col,
-            )
-        wires = []
-        for word, wcol in toks[1 : 1 + spec.wires]:
-            if not word.isdigit():
-                raise CircuitError(f"invalid wire {word!r}", lineno, wcol)
-            w = int(word)
-            if not 1 <= w <= n_qubits:
-                raise CircuitError(f"wire {w} out of range 1..{n_qubits}", lineno, wcol)
-            wires.append(w)
-        if len(set(wires)) != len(wires):
-            raise CircuitError(f"gate {name!r} requires distinct wires", lineno, col)
-        params = []
-        for word, pcol in toks[1 + spec.wires :]:
-            try:
-                value = float(word)
-            except ValueError:
-                raise CircuitError(f"invalid parameter {word!r}", lineno, pcol) from None
-            if not math.isfinite(value):
-                raise CircuitError(f"non-finite parameter {word!r}", lineno, pcol)
-            params.append(value)
+        name = toks[0][0].lower()
         try:
-            spec.words(*params)
-        except ValueError as exc:
-            raise CircuitError(str(exc), lineno, toks[1 + spec.wires][1]) from None
-        ops.append(GateOp(name, tuple(wires), tuple(params)))
+            split = gate_spec(name).wires
+            args = [_lex(word, i, i <= split) for i, (word, _) in enumerate(toks[1:], start=1)]
+            wires, params = tuple(args[:split]), tuple(args[split:])
+            gate_words(name, n_qubits, wires, params)
+        except GateOpError as exc:
+            raise CircuitError(str(exc), lineno, toks[exc.index][1]) from None
+        ops.append(GateOp(name, wires, params))
     if n_qubits is None:
         raise CircuitError("empty circuit file, expected 'qubits N' header", 1)
     return Circuit(n_qubits, tuple(ops))

@@ -11,7 +11,7 @@ import os
 import sys
 
 from .circuit import CircuitError, parse_bits, parse_circuit, run_clifford
-from .gates import GATE_SPECS, build_gate
+from .gates import build_gate, gate_spec
 from .matrix_backend import MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
 from .real_ga import bloch_angles, bloch_verify, iso_check
 from .witt import MAX_QUBITS, WittContext, render_witt, state_to_amplitudes
@@ -51,7 +51,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.circuit, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.circuit}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # The dense oracle is capped, so a matrix run is refused before either backend starts.
@@ -199,26 +199,11 @@ def cmd_iso_check(args: argparse.Namespace) -> int:
 
 def cmd_gate_dump(args: argparse.Namespace) -> int:
     name = args.name.lower()
-    spec = GATE_SPECS.get(name)
-    if spec is None:
-        print(f"error: unknown gate {args.name!r}", file=sys.stderr)
-        return EXIT_USAGE
-    wires = args.wires if args.wires else list(range(1, spec.wires + 1))
-    if len(wires) != spec.wires:
-        print(f"error: gate {name!r} takes {spec.wires} wire(s)", file=sys.stderr)
-        return EXIT_USAGE
-    n = args.qubits if args.qubits else max(wires)
-    params: list[float] = []
-    if spec.params == 1:
-        params = [args.param if args.param is not None else 0.0]
-    elif spec.params == 8:
-        if args.u2 is None:
-            print("error: u2 requires --u2 with 8 values", file=sys.stderr)
-            return EXIT_USAGE
-        params = args.u2
+    params = ([] if args.param is None else [args.param]) + (args.u2 or [])
     try:
-        ctx = WittContext(n)
-        g = build_gate(ctx, name, wires, params)
+        wires = args.wires or list(range(1, gate_spec(name).wires + 1))
+        n = max(wires) if args.qubits is None else args.qubits
+        g = build_gate(WittContext(n), name, wires, params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,7 +12,9 @@ product of the factors.
 Each registry gate in ``GATE_SPECS`` is data: a sum of words, each word
 giving one wire's coordinates on that span (or None for the identity) per
 gate wire, e.g. CNOT = f_1 f_1^dagger + f_1^dagger f_1 (f_2 + f_2^dagger).
-``build_gate`` is the one builder and validator of a named gate.
+``gate_words`` is the one validator of a gate op (name, wires, parameters on
+an n-qubit register): the circuit parser, ``build_gate`` and ``gate-dump``
+all check an op through it.  ``build_gate`` is the one builder of a named gate.
 """
 
 from __future__ import annotations
@@ -31,12 +33,15 @@ UNITARY_TOL = 1e-10
 
 __all__ = [
     "GateElement",
+    "GateOpError",
     "GateSpec",
     "GATE_SPECS",
     "apply",
     "build_gate",
     "gate_from_u2",
     "gate_identity",
+    "gate_spec",
+    "gate_words",
     "is_unitary",
     "ketbra",
     "measure_probabilities",
@@ -106,7 +111,6 @@ def _super_words(ctx: WittContext, wire_factors: dict[int, Multivector]) -> Mult
     out = ctx.one()
     for k in sorted(wire_factors):
         factor = wire_factors[k]
-        _check_support(ctx, factor, k)
         even = Multivector(sig, {m: c for m, c in factor.terms.items() if not m.bit_count() & 1})
         odd = Multivector(sig, {m: c for m, c in factor.terms.items() if m.bit_count() & 1})
         # Z_1 ... Z_{k-1} = i^(k-1) e_1 e_{1+n} ... e_{k-1} e_{k-1+n}; sorting the
@@ -126,32 +130,13 @@ def super_tensor(ctx: WittContext, factors: Sequence[Multivector | None]) -> Gat
     if len(factors) != ctx.n:
         raise ValueError(f"expected {ctx.n} factors, got {len(factors)}")
     present = {k: f for k, f in enumerate(factors, start=1) if f is not None}
+    for k, f in present.items():
+        _check_support(ctx, f, k)
     return GateElement(ctx.n, _super_words(ctx, present))
 
 
 def gate_identity(ctx: WittContext) -> GateElement:
     return GateElement(ctx.n, ctx.one())
-
-
-def check_unitary_2x2(matrix) -> Coordinates:
-    """Entries (a, b, c, d) of [[a, b], [c, d]]; ValueError unless unitary to UNITARY_TOL."""
-    (a, b), (c, d) = matrix
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    err = max(
-        abs(abs(a) ** 2 + abs(c) ** 2 - 1.0),
-        abs(abs(b) ** 2 + abs(d) ** 2 - 1.0),
-        abs(b.conjugate() * a + d.conjugate() * c),
-    )
-    if not err <= UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
-    return a, b, c, d
-
-
-def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:
-    """Wire-k gate from a 2x2 unitary [[a, b], [c, d]]."""
-    coords = check_unitary_2x2(matrix)
-    ctx._check_wire(k)
-    return GateElement(ctx.n, _super_words(ctx, {k: _local(ctx, k, coords)}))
 
 
 # -- operator construction from states ------------------------------------------
@@ -249,9 +234,16 @@ def _phase(phi: float) -> Words:
 
 
 def _u2(*params: float) -> Words:
-    """[[a, b], [c, d]] from the re/im pairs of a, b, c, d; ValueError unless unitary."""
+    """[[a, b], [c, d]] from the re/im pairs of a, b, c, d; ValueError unless unitary to UNITARY_TOL."""
     a, b, c, d = (complex(params[i], params[i + 1]) for i in range(0, 8, 2))
-    return _one_wire(check_unitary_2x2([[a, b], [c, d]]))
+    err = max(
+        abs(abs(a) ** 2 + abs(c) ** 2 - 1.0),
+        abs(abs(b) ** 2 + abs(d) ** 2 - 1.0),
+        abs(b.conjugate() * a + d.conjugate() * c),
+    )
+    if not err <= UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
+    return _one_wire((a, b, c, d))
 
 
 def _controlled(u: Words) -> Words:
@@ -284,24 +276,58 @@ GATE_SPECS: dict[str, GateSpec] = {
 }
 
 
-def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
-    """The registry gate ``name`` on ``wires``: the sum of its words' super tensor products."""
+class GateOpError(ValueError):
+    """An invalid gate op; ``index`` is its offending token: 0 for the name, then the wires, then the parameters."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def gate_spec(name: str) -> GateSpec:
+    """The registry entry of ``name``; GateOpError at token 0 if there is none."""
     spec = GATE_SPECS.get(name)
     if spec is None:
-        raise ValueError(f"unknown gate {name!r}")
-    if len(wires) != spec.wires:
-        raise ValueError(f"gate {name!r} takes {spec.wires} wire(s), got {len(wires)}")
-    if len(params) != spec.params:
-        raise ValueError(f"gate {name!r} takes {spec.params} parameter(s), got {len(params)}")
-    for w in wires:
-        ctx._check_wire(w)
-    if len(set(wires)) != len(wires):
-        raise ValueError(f"wires must be distinct, got {tuple(wires)}")
-    if not all(math.isfinite(p) for p in params):
-        raise ValueError(f"gate {name!r} takes finite parameters, got {tuple(params)}")
+        raise GateOpError(f"unknown gate {name!r}", 0)
+    return spec
+
+
+def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> Words:
+    """Words of the registry gate ``name`` on ``wires`` of an n-qubit register; GateOpError unless valid."""
+    spec = gate_spec(name)
+    if len(wires) != spec.wires or len(params) != spec.params:
+        raise GateOpError(
+            f"gate {name!r} takes {spec.wires} wire(s) and {spec.params} parameter(s), "
+            f"got {len(wires)} and {len(params)}",
+            0,
+        )
+    for i, w in enumerate(wires, start=1):
+        if not 1 <= w <= n:
+            raise GateOpError(f"wire {w} out of range 1..{n}", i)
+    for i, w in enumerate(wires, start=1):
+        if w in wires[: i - 1]:
+            raise GateOpError(f"gate {name!r} requires distinct wires, got {tuple(wires)}", i)
+    first = 1 + len(wires)
+    for i, p in enumerate(params, start=first):
+        if not math.isfinite(p):
+            raise GateOpError(f"non-finite parameter {p}", i)
+    try:
+        return spec.words(*params)
+    except ValueError as exc:
+        raise GateOpError(str(exc), first) from None
+
+
+def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
+    """The registry gate ``name`` on ``wires``: the sum of its words' super tensor products."""
     terms = [
         _super_words(ctx, {k: _local(ctx, k, c) for k, c in zip(wires, word) if c is not None})
-        for word in spec.words(*params)
+        for word in gate_words(name, ctx.n, wires, params)
     ]
     # Summed from the first word, not from 0: 0j + c turns a -0.0 part into +0.0.
     return GateElement(ctx.n, sum(terms[1:], terms[0]))
+
+
+def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:
+    """Wire-k gate from a 2x2 unitary [[a, b], [c, d]]: the registry gate u2 on its re/im pairs."""
+    entries = [complex(e) for row in matrix for e in row]
+    return build_gate(ctx, "u2", (k,), [x for e in entries for x in (e.real, e.imag)])

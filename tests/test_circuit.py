@@ -103,6 +103,20 @@ class TestDiagnostics:
         assert (exc.value.line, exc.value.column) == (2, column)
         assert "parameter" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text,line,column,message",
+        [
+            ("qubits \u00b2\n", 1, 8, "invalid qubit count '\u00b2'"),
+            ("qubits 1\nx \u00b2\n", 2, 3, "invalid wire '\u00b2'"),
+            ("qubits 1\nx 1 foo\n", 2, 5, "invalid parameter 'foo'"),
+            ("qubits 1\nphase 1.5\n", 2, 7, "invalid wire '1.5'"),
+        ],
+    )
+    def test_token_not_lexed(self, text, line, column, message):
+        with pytest.raises(CircuitError) as exc:
+            parse_circuit(text)
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
+
     def test_duplicate_wires(self):
         with pytest.raises(CircuitError):
             parse_circuit("qubits 2\nswap 1 1\n")

@@ -7,11 +7,27 @@ import pytest
 
 import cliffsim.cli
 import cliffsim.matrix_backend
-from cliffsim.circuit import run_bytes, run_clifford
+from cliffsim.circuit import CircuitError, parse_circuit, run_bytes, run_clifford
 from cliffsim.cli import main
+from cliffsim.gates import build_gate
 from cliffsim.witt import WittContext, amplitudes_to_state
 
 BELL = "qubits 2\nh 1\ncnot 1 2\n"
+
+# Bad gate ops on a 2-qubit register: name, wires, parameter tokens, the
+# column of the offending token in the op's line, and the message.
+BAD_OPS = [
+    ("foo", (1,), (), 1, "unknown gate 'foo'"),
+    ("cnot", (1,), (), 1, "gate 'cnot' takes 2 wire(s) and 0 parameter(s), got 1 and 0"),
+    ("x", (1,), ("2",), 1, "gate 'x' takes 1 wire(s) and 0 parameter(s), got 1 and 1"),
+    ("x", (0,), (), 3, "wire 0 out of range 1..2"),
+    ("x", (3,), (), 3, "wire 3 out of range 1..2"),
+    ("cnot", (2, 2), (), 8, "gate 'cnot' requires distinct wires, got (2, 2)"),
+    ("phase", (1,), ("nan",), 9, "non-finite parameter nan"),
+    ("phase", (1,), ("inf",), 9, "non-finite parameter inf"),
+    ("phase", (1,), ("1e999",), 9, "non-finite parameter inf"),
+    ("u2", (1,), ("2", "0", "0", "0", "0", "0", "1", "0"), 6, "matrix is not unitary (deviation 3.000e+00)"),
+]
 
 
 @pytest.fixture
@@ -69,6 +85,14 @@ class TestRun:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/file.qc"]) == 2
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.qc"
+        path.write_bytes(b"qubits 1\nx 1 \xff\n")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
 
     def test_bad_init_exits_2(self, bell_file, capsys):
         assert main(["run", "--init", "0", bell_file]) == 2
@@ -234,9 +258,51 @@ class TestGateDump:
         assert "finite" in captured.err
 
     def test_unknown_gate_exits_2(self, capsys):
-        assert main(["gate-dump", "nosuch"]) == 2
+        assert main(["gate-dump", "NoSuch"]) == 2
+        assert capsys.readouterr() == ("", "error: unknown gate 'nosuch'\n")
+
+    @pytest.mark.parametrize("qubits", ["0", "33"])
+    def test_register_out_of_range_exits_2(self, capsys, qubits):
+        assert main(["gate-dump", "x", "--qubits", qubits]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"qubit count {qubits} out of range 1..32" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["x", "--param", "1.0"],
+            ["phase", "--u2", "1", "0", "0", "0", "0", "0", "1", "0"],
+            ["phase"],
+            ["u2"],
+        ],
+    )
+    def test_parameter_count_exits_2(self, capsys, argv):
+        assert main(["gate-dump", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parameter(s), got" in captured.err
 
     def test_custom_wires(self, capsys):
         assert main(["gate-dump", "cnot", "--wires", "2", "1", "--qubits", "2"]) == 0
         out = capsys.readouterr().out
         assert "wires (2, 1)" in out
+
+
+class TestGateOpAgreement:
+    """parse_circuit, build_gate and gate-dump refuse a bad gate op with one message."""
+
+    @pytest.mark.parametrize("name,wires,params,column,message", BAD_OPS)
+    def test_same_refusal(self, capsys, name, wires, params, column, message):
+        line = " ".join([name, *map(str, wires), *params])
+        with pytest.raises(CircuitError) as exc:
+            parse_circuit(f"qubits 2\n{line}\n")
+        assert (exc.value.line, exc.value.column) == (2, column)
+        assert str(exc.value) == f"line 2, column {column}: {message}"
+        with pytest.raises(ValueError) as exc:
+            build_gate(WittContext(2), name, wires, [float(p) for p in params])
+        assert str(exc.value) == message
+        flag = {0: [], 1: ["--param"], 8: ["--u2"]}[len(params)]
+        argv = ["gate-dump", name, "--wires", *map(str, wires), "--qubits", "2", *flag, *params]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -138,6 +138,10 @@ class TestU2Correspondence:
         with pytest.raises(ValueError):
             gate_from_u2(ctx1, 1, [[1, 0], [0, 2]])
 
+    def test_rejects_non_finite_entry(self, ctx1):
+        with pytest.raises(ValueError, match="non-finite parameter nan"):
+            gate_from_u2(ctx1, 1, [[math.nan, 0], [0, 1]])
+
     def test_random_unitaries_give_unitary_elements(self, ctx1):
         rng = np.random.default_rng(101)
         for _ in range(20):
