@@ -24,7 +24,6 @@ from .matrix_backend import (
     MatrixState,
     compare_backends,
     gate_matrix,
-    kron_embed,
     random_circuit,
     run_fuzz,
     run_matrix,

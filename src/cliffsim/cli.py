@@ -117,6 +117,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         problem = f"--depth must be at least 1, got {args.depth}"
     elif args.circuits < 1:
         problem = f"--circuits must be at least 1, got {args.circuits}"
+    elif args.seed < 0:
+        problem = f"--seed must be non-negative, got {args.seed}"
     else:
         problem = None
     if problem:

@@ -1,17 +1,17 @@
 """Quantum gates as unitary elements of the 2n-generator complex Clifford algebra.
 
-Single-wire operators live in the four-dimensional span of
-(f_k f_k^dagger, f_k, f_k^dagger, f_k^dagger f_k); multi-wire gates are
-signed super tensor products of such factors, built in Jordan-Wigner form.
-Z_j = f_j f_j^dagger - f_j^dagger f_j = i e_j e_{j+n} is a single blade, and
-the factor on wire k enters as its even part plus Z_1 ... Z_{k-1} times its
-odd part (f_k, f_k^dagger).  These dressed factors on distinct wires commute,
-and their product acts on product states exactly like the ordinary tensor
-product of the factors.
+A gate is held in blade form (``GateElement.value``).  The Jordan-Wigner map
+is the one bridge between blades and amplitudes: on the basis words e_w
+(wire w) acts as Z_1 ... Z_{w-1} X_w and e_{w+n} as the same times -i Z_w,
+so every blade is one Pauli string phase * X^x Z^z.  ``_pauli_string`` and
+its inverse ``_blade_mask`` state it in closed form; ``apply`` and the
+builders go through them.
 
 Each registry gate in ``GATE_SPECS`` is data: a sum of words, each word
-giving one wire's coordinates on that span (or None for the identity) per
-gate wire, e.g. CNOT = f_1 f_1^dagger + f_1^dagger f_1 (f_2 + f_2^dagger).
+giving one wire's coordinates on (f_k f_k^dagger, f_k, f_k^dagger,
+f_k^dagger f_k), or None for the identity, per gate wire, e.g.
+CNOT = f_1 f_1^dagger + f_1^dagger f_1 (f_2 + f_2^dagger).  A word is the
+tensor product of its wire operators, expanded into Pauli strings.
 ``gate_words`` is the one validator of a gate op (name, wires, parameters on
 an n-qubit register): the circuit parser, ``build_gate`` and ``gate-dump``
 all check an op through it.  ``build_gate`` is the one builder of a named gate.
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .multivector import Multivector
+from .multivector import PRUNE_EPS, Multivector
 from .witt import SpinorState, WittContext, amplitudes_to_state, basis_state, state_to_amplitudes
 
 UNITARY_TOL = 1e-10
@@ -65,60 +65,20 @@ Coordinates = tuple[complex, complex, complex, complex]
 Words = tuple[tuple[Coordinates | None, ...], ...]
 
 
-def _check_support(ctx: WittContext, factor: Multivector, k: int) -> tuple[int, int]:
-    """Blade masks of e_k and e_{k+n}.
-
-    Raises if the factor touches generators outside wire k.
-    """
-    ctx._check_wire(k)
-    e_bit = 1 << (k - 1)
-    en_bit = 1 << (k + ctx.n - 1)
-    if any(mask & ~(e_bit | en_bit) for mask in factor.terms):
-        raise ValueError(f"factor for wire {k} is supported outside its wire")
-    return e_bit, en_bit
-
-
 def wire_coordinates(ctx: WittContext, factor: Multivector, k: int) -> Coordinates:
     """Coordinates (a, b, c, d) of a wire-k operator on (f f^dag, f, f^dag, f^dag f).
 
     Raises if the factor touches generators outside wire k.
     """
-    e_bit, en_bit = _check_support(ctx, factor, k)
+    ctx._check_wire(k)
+    e_bit, en_bit = 1 << (k - 1), 1 << (k + ctx.n - 1)
+    if any(mask & ~(e_bit | en_bit) for mask in factor.terms):
+        raise ValueError(f"factor for wire {k} is supported outside its wire")
     s = factor.coefficient(0)
     u = factor.coefficient(e_bit)
     v = factor.coefficient(en_bit)
     w = factor.coefficient(e_bit | en_bit)
     return (s - 1j * w, u + 1j * v, u - 1j * v, s + 1j * w)
-
-
-def _local(ctx: WittContext, k: int, coords: Coordinates) -> Multivector:
-    """Wire-k operator with coordinates (a, b, c, d) on (f f^dag, f, f^dag, f^dag f).
-
-    The inverse of ``wire_coordinates``: f = (e_k - i e_{k+n}) / 2 and
-    f f^dag = (1 + i e_k e_{k+n}) / 2.
-    """
-    a, b, c, d = coords
-    e_bit, en_bit = 1 << (k - 1), 1 << (k + ctx.n - 1)
-    return Multivector(
-        ctx.signature,
-        {0: (a + d) / 2, e_bit: (b + c) / 2, en_bit: 1j * (c - b) / 2, e_bit | en_bit: 1j * (a - d) / 2},
-    )
-
-
-def _super_words(ctx: WittContext, wire_factors: dict[int, Multivector]) -> Multivector:
-    """Product over sorted wires k of even_k + Z_1 ... Z_{k-1} odd_k."""
-    sig, n = ctx.signature, ctx.n
-    out = ctx.one()
-    for k in sorted(wire_factors):
-        factor = wire_factors[k]
-        even = Multivector(sig, {m: c for m, c in factor.terms.items() if not m.bit_count() & 1})
-        odd = Multivector(sig, {m: c for m, c in factor.terms.items() if m.bit_count() & 1})
-        # Z_1 ... Z_{k-1} = i^(k-1) e_1 e_{1+n} ... e_{k-1} e_{k-1+n}; sorting the
-        # generators into blade order takes (k-1)(k-2)/2 transpositions.
-        low = (1 << (k - 1)) - 1
-        zs = Multivector(sig, {low | low << n: (-1) ** ((k - 1) * (k - 2) // 2) * 1j ** (k - 1)})
-        out = out * (even + zs * odd)
-    return out
 
 
 def super_tensor(ctx: WittContext, factors: Sequence[Multivector | None]) -> GateElement:
@@ -129,17 +89,12 @@ def super_tensor(ctx: WittContext, factors: Sequence[Multivector | None]) -> Gat
     """
     if len(factors) != ctx.n:
         raise ValueError(f"expected {ctx.n} factors, got {len(factors)}")
-    present = {k: f for k, f in enumerate(factors, start=1) if f is not None}
-    for k, f in present.items():
-        _check_support(ctx, f, k)
-    return GateElement(ctx.n, _super_words(ctx, present))
+    word = tuple(None if f is None else wire_coordinates(ctx, f, k) for k, f in enumerate(factors, start=1))
+    return GateElement(ctx.n, _blades(ctx, range(1, ctx.n + 1), (word,)))
 
 
 def gate_identity(ctx: WittContext) -> GateElement:
     return GateElement(ctx.n, ctx.one())
-
-
-# -- operator construction from states ------------------------------------------
 
 
 def ketbra(ctx: WittContext, bits_out, bits_in) -> Multivector:
@@ -151,33 +106,76 @@ def ketbra(ctx: WittContext, bits_out, bits_in) -> Multivector:
     return ket * bra
 
 
-# -- action on states --------------------------------------------------------------
+# -- the Jordan-Wigner map -----------------------------------------------------------
+
+
+def _wire_bits(m: int, n: int) -> int:
+    """Index mask of an n-bit wire mask: bit w - 1 (wire w) becomes bit n - w, and back."""
+    return int(f"{m:0{n}b}"[::-1], 2)
+
+
+def _below(m: int, n: int) -> int:
+    """U(m): bit j is the parity of the bits of m below j, for j < n."""
+    p = m << 1
+    s = 1
+    while s < n:
+        p ^= p << s
+        s <<= 1
+    return p & ((1 << n) - 1)
+
+
+# (-i)^k for k mod 4.
+_MINUS_I_POWERS = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
 def _pauli_string(mask: int, n: int) -> tuple[int, int, complex]:
-    """Action of blade e_A on the amplitudes as (x_mask, z_mask, phase).
+    """Action of blade e_A on the amplitudes as (x, z, phase): phase * X^x Z^z, Z^z first.
 
-    On the basis words, e_j (wire j <= n) flips bit j with sign
-    (-1)^(bits of wires < j), i.e. Z_1 ... Z_{j-1} X_j (Jordan-Wigner), and
-    e_{j+n} = i (f_j - f_j^dagger) is the same times -i Z_j.  A string
-    phase * X^x Z^z applies Z^z first; the blade is its generators composed
-    in ascending order, using Z^z1 X^x2 = (-1)^popcount(x2 & z1) X^x2 Z^z1.
+    With a and b the index masks of the e_w and the e_{w+n} in the blade,
+    x = a ^ b and z = b ^ U(x): every e_w or e_{w+n} adds Z on the index bits
+    above its own, and e_{w+n} adds Z_w.  Each e_{w+n} brings a factor -i, and
+    composing the strings in blade order moves each e_{w+n} past the Z of
+    every e_v with v > w before it, hence (-i)^|b| (-1)^popcount(U(a) & b).
     """
-    x = z = 0
-    phase = 1 + 0j
-    for g in range(2 * n):
-        if not mask >> g & 1:
-            continue
-        bit = 1 << (n - 1 - g % n)  # index bit of wire g % n + 1
-        gz = ((1 << n) - 1) ^ ((bit << 1) - 1)  # index bits of the wires before it
-        gc = 1
-        if g >= n:
-            gz |= bit
-            gc = -1j
-        phase *= -gc if (bit & z).bit_count() & 1 else gc
-        x ^= bit
-        z ^= gz
-    return x, z, phase
+    a = _wire_bits(mask & ((1 << n) - 1), n)
+    b = _wire_bits(mask >> n, n)
+    x = a ^ b
+    # (-1)^k = (-i)^(2k)
+    phase = _MINUS_I_POWERS[(b.bit_count() + 2 * (_below(a, n) & b).bit_count()) % 4]
+    return x, b ^ _below(x, n), phase
+
+
+def _blade_mask(x: int, z: int, n: int) -> int:
+    """The blade whose Pauli string is X^x Z^z: the inverse of ``_pauli_string``."""
+    b = z ^ _below(x, n)
+    return _wire_bits(x ^ b, n) | _wire_bits(b, n) << n
+
+
+def _blades(ctx: WittContext, wires: Sequence[int], words: Words) -> Multivector:
+    """Sum of the words on ``wires``, each the tensor product of its wire operators, as blades.
+
+    A wire operator [[a, b], [c, d]] is (a+d)/2 I + (a-d)/2 Z + (b+c)/2 X + (c-b)/2 XZ.
+    A word expands into Pauli strings over its wires in ascending order, and
+    the string X^x Z^z is the blade ``_blade_mask(x, z)`` over its phase.
+    """
+    n = ctx.n
+    out: dict[int, complex] = {}
+    for word in words:
+        strings = [(0, 0, 1 + 0j)]
+        for k, (a, b, c, d) in sorted((k, coords) for k, coords in zip(wires, word) if coords is not None):
+            bit = 1 << (n - k)  # index bit of wire k
+            paulis = (((a + d) / 2, 0, 0), ((a - d) / 2, 0, bit), ((b + c) / 2, bit, 0), ((c - b) / 2, bit, bit))
+            strings = [
+                (x ^ px, z ^ pz, coeff * p)
+                for x, z, coeff in strings
+                for p, px, pz in paulis
+                if not abs(coeff * p) < PRUNE_EPS
+            ]
+        for x, z, coeff in strings:
+            mask = _blade_mask(x, z, n)
+            # 0j + turns a -0.0 part into +0.0, as the blade product does.
+            out[mask] = out.get(mask, 0j) + coeff * _pauli_string(mask, n)[2].conjugate()
+    return Multivector(ctx.signature, out)
 
 
 def apply(g: GateElement, state: SpinorState) -> SpinorState:
@@ -236,11 +234,14 @@ def _phase(phi: float) -> Words:
 def _u2(*params: float) -> Words:
     """[[a, b], [c, d]] from the re/im pairs of a, b, c, d; ValueError unless unitary to UNITARY_TOL."""
     a, b, c, d = (complex(params[i], params[i + 1]) for i in range(0, 8, 2))
-    err = max(
-        abs(abs(a) ** 2 + abs(c) ** 2 - 1.0),
-        abs(abs(b) ** 2 + abs(d) ** 2 - 1.0),
-        abs(b.conjugate() * a + d.conjugate() * c),
-    )
+    try:
+        err = max(
+            abs(abs(a) ** 2 + abs(c) ** 2 - 1.0),
+            abs(abs(b) ** 2 + abs(d) ** 2 - 1.0),
+            abs(b.conjugate() * a + d.conjugate() * c),
+        )
+    except OverflowError:  # an entry too large to square is far from unitary
+        err = math.inf
     if not err <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
     return _one_wire((a, b, c, d))
@@ -319,12 +320,7 @@ def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float])
 
 def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
     """The registry gate ``name`` on ``wires``: the sum of its words' super tensor products."""
-    terms = [
-        _super_words(ctx, {k: _local(ctx, k, c) for k, c in zip(wires, word) if c is not None})
-        for word in gate_words(name, ctx.n, wires, params)
-    ]
-    # Summed from the first word, not from 0: 0j + c turns a -0.0 part into +0.0.
-    return GateElement(ctx.n, sum(terms[1:], terms[0]))
+    return GateElement(ctx.n, _blades(ctx, wires, gate_words(name, ctx.n, wires, params)))
 
 
 def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:

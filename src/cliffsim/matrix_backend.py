@@ -62,40 +62,6 @@ def gate_matrix(name: str, params=()) -> np.ndarray:
     raise ValueError(f"unknown gate {name!r}")
 
 
-def kron_embed(gate: np.ndarray, wires, n: int) -> np.ndarray:
-    """Embed a 2^k unitary acting on the given wires into the full 2^n space."""
-    k = len(wires)
-    if gate.shape != (2 ** k, 2 ** k):
-        raise ValueError(f"gate shape {gate.shape} does not match {k} wire(s)")
-    if len(set(wires)) != k:
-        raise ValueError(f"wires must be distinct, got {tuple(wires)}")
-    for w in wires:
-        if not 1 <= w <= n:
-            raise ValueError(f"wire {w} out of range 1..{n}")
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense embedding capped at {MAX_DENSE_QUBITS} qubits")
-    dim = 2 ** n
-    shifts = [n - w for w in wires]
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        sub_in = 0
-        for i, sh in enumerate(shifts):
-            sub_in = (sub_in << 1) | ((col >> sh) & 1)
-        base = col
-        for sh in shifts:
-            base &= ~(1 << sh)
-        for sub_out in range(2 ** k):
-            amp = gate[sub_out, sub_in]
-            if amp == 0:
-                continue
-            row = base
-            for i, sh in enumerate(shifts):
-                if (sub_out >> (k - 1 - i)) & 1:
-                    row |= 1 << sh
-            out[row, col] += amp
-    return out
-
-
 def _apply_gate(vec: np.ndarray, gate: np.ndarray, wires, n: int) -> np.ndarray:
     k = len(wires)
     axes = [w - 1 for w in wires]
@@ -132,8 +98,6 @@ def run_matrix(circuit: Circuit, init_bits=None) -> MatrixState:
         raise ValueError(f"matrix backend capped at {MAX_DENSE_QUBITS} qubits")
     vec = initial_vector(n, init_bits)
     for op in circuit.ops:
-        if op.name not in GATE_SPECS:
-            raise ValueError(f"unknown gate {op.name!r}")
         vec = _apply_gate(vec, gate_matrix(op.name, op.params), op.wires, n)
     return MatrixState(n, vec)
 

@@ -272,7 +272,10 @@ def correlator(n: int) -> TensorG3:
 def bloch_angles(alpha: complex, beta: complex) -> tuple[float, float]:
     """Spherical angles of a normalized qubit, global phase fixed on alpha."""
     alpha, beta = complex(alpha), complex(beta)
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    try:
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:  # an amplitude too large to square
+        norm = math.inf
     if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
         raise ValueError(f"amplitudes not normalized: |a|^2+|b|^2 = {norm!r}")
     if abs(alpha) > 1e-15:

@@ -42,12 +42,12 @@ class WittContext:
         for j in range(1, n + 1):
             ej = 1 << (j - 1)
             ejn = 1 << (j + n - 1)
-            f = Multivector(sig, {ej: 0.5, ejn: -0.5j})
-            fd = Multivector(sig, {ej: 0.5, ejn: 0.5j})
-            self._f.append(f)
-            self._fdag.append(fd)
-            self._proj0.append(f * fd)
-            self._proj1.append(fd * f)
+            self._f.append(Multivector(sig, {ej: 0.5, ejn: -0.5j}))
+            self._fdag.append(Multivector(sig, {ej: 0.5, ejn: 0.5j}))
+            # f f^dagger = (1 + i e_j e_{j+n}) / 2 and f^dagger f = (1 - i e_j e_{j+n}) / 2,
+            # with the +0.0 real parts that the products f * fd and fd * f give.
+            self._proj0.append(Multivector(sig, {0: 0.5, ej | ejn: complex(0.0, 0.5)}))
+            self._proj1.append(Multivector(sig, {0: 0.5, ej | ejn: complex(0.0, -0.5)}))
 
     @property
     def idempotent(self) -> Multivector:

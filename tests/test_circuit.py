@@ -18,7 +18,7 @@ from cliffsim.circuit import (
     run_clifford,
 )
 from cliffsim.gates import GATE_SPECS
-from cliffsim.matrix_backend import random_unitary_2x2
+from cliffsim.matrix_backend import random_circuit, random_unitary_2x2
 from cliffsim.witt import state_to_amplitudes
 
 
@@ -214,3 +214,16 @@ class TestRunClifford:
         circuit = parse_circuit("qubits 2\nh 1\ncnot 1 2\nswap 1 2\n")
         state = run_clifford(circuit)
         assert abs(sum(abs(a) ** 2 for a in state_to_amplitudes(state.ctx, state)) - 1) < 1e-10
+
+    def test_run_path_multiplies_no_multivectors(self, monkeypatch):
+        # gates reach the amplitudes through the Jordan-Wigner map alone
+        from cliffsim.multivector import Multivector
+
+        def refuse(*args):
+            raise AssertionError("run_clifford multiplied two multivectors")
+
+        monkeypatch.setattr(Multivector, "__mul__", refuse)
+        circuit = random_circuit(np.random.default_rng(151), 4, 60)
+        assert {op.name for op in circuit.ops} == set(GATE_SPECS)
+        state = run_clifford(circuit)
+        assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-10

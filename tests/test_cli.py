@@ -27,6 +27,7 @@ BAD_OPS = [
     ("phase", (1,), ("inf",), 9, "non-finite parameter inf"),
     ("phase", (1,), ("1e999",), 9, "non-finite parameter inf"),
     ("u2", (1,), ("2", "0", "0", "0", "0", "0", "1", "0"), 6, "matrix is not unitary (deviation 3.000e+00)"),
+    ("u2", (1,), ("1e200", "0", "0", "0", "0", "0", "1", "0"), 6, "matrix is not unitary (deviation inf)"),
 ]
 
 
@@ -201,7 +202,7 @@ class TestFuzz:
         assert "non-finite" in captured.err
 
     @pytest.mark.parametrize(
-        "flags", ["--max-qubits 0", "--max-qubits 13", "--depth 0", "--circuits -1"]
+        "flags", ["--max-qubits 0", "--max-qubits 13", "--depth 0", "--circuits -1", "--seed -1"]
     )
     def test_invalid_arguments_exit_2(self, capsys, flags):
         assert main(["fuzz", "--circuits", "3", "--depth", "2", *flags.split()]) == 2
@@ -224,7 +225,7 @@ class TestBloch:
     def test_unnormalized_exits_2(self, capsys):
         assert main(["bloch", "1", "1"]) == 2
 
-    @pytest.mark.parametrize("pair", [["nan", "0"], ["0", "nan"]])
+    @pytest.mark.parametrize("pair", [["nan", "0"], ["0", "nan"], ["1e200", "0"]])
     def test_non_finite_amplitude_exits_2(self, capsys, pair):
         assert main(["bloch", *pair]) == 2
         captured = capsys.readouterr()

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -456,7 +457,7 @@ class TestApplication:
         with pytest.raises(ValueError):
             apply(build_gate(ctx1, "x", (1,)), basis_state(ctx2, [0, 0]))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 13, 16])
     def test_blade_action_matches_blade_product(self, n):
         # the signed-permutation kernel against left multiplication in the algebra
         from cliffsim.gates import GateElement
@@ -466,15 +467,50 @@ class TestApplication:
             masks = range(4 ** n)
             indices = range(2 ** n)
         else:
+            # above the oracle's cap only a few cases: each multiplies 2^n-term blade forms
             rng = np.random.default_rng(139 + n)
-            masks = [int(m) for m in rng.integers(0, 4 ** n, size=40)]
-            indices = [int(k) for k in rng.integers(0, 2 ** n, size=4)]
+            masks = [int(m) for m in rng.integers(0, 4 ** n, size=40 if n <= 6 else 3)]
+            indices = [int(k) for k in rng.integers(0, 2 ** n, size=4 if n <= 6 else 2)]
         for mask in masks:
             blade = Multivector(ctx.signature, {mask: 1.0})
             for k in indices:
                 basis = basis_state(ctx, index_bits(k, n))
                 got = apply(GateElement(n, blade), basis).value
                 assert got.max_coeff_diff(blade * basis.value) <= 1e-15, (mask, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 13, 20, 32])
+    def test_pauli_string_closed_form(self, n):
+        # the closed-form Jordan-Wigner map against composing the generators' strings one by one
+        from cliffsim.gates import _blade_mask, _pauli_string
+
+        def reference(mask):
+            # e_j (wire j <= n) is Z_1 ... Z_{j-1} X_j and e_{j+n} the same times -i Z_j;
+            # Z^z1 X^x2 = (-1)^popcount(x2 & z1) X^x2 Z^z1 orders each product.
+            x = z = 0
+            phase = 1 + 0j
+            for g in range(2 * n):
+                if not mask >> g & 1:
+                    continue
+                bit = 1 << (n - 1 - g % n)
+                gz = ((1 << n) - 1) ^ ((bit << 1) - 1)
+                gc = 1
+                if g >= n:
+                    gz |= bit
+                    gc = -1j
+                phase *= -gc if (bit & z).bit_count() & 1 else gc
+                x ^= bit
+                z ^= gz
+            return x, z, phase
+
+        if n <= 4:
+            masks = range(4 ** n)
+        else:
+            rng = random.Random(149 + n)
+            masks = [rng.getrandbits(2 * n) for _ in range(200)] + [4 ** n - 1, (2 ** n - 1) << n]
+        for mask in masks:
+            x, z, phase = _pauli_string(mask, n)
+            assert (x, z, phase) == reference(mask), mask
+            assert _blade_mask(x, z, n) == mask
 
     def test_phase_rotation_eigenvalue(self, ctx1):
         theta = 1.234

@@ -1,4 +1,4 @@
-"""Dense matrix oracle: embeddings, circuit evaluation, differential checks."""
+"""Dense matrix oracle: gate matrices, circuit evaluation, differential checks."""
 
 import math
 
@@ -10,46 +10,11 @@ from cliffsim.gates import GATE_SPECS
 from cliffsim.matrix_backend import (
     compare_backends,
     gate_matrix,
-    kron_embed,
     random_circuit,
     random_unitary_2x2,
     run_fuzz,
     run_matrix,
 )
-
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-
-
-class TestKronEmbed:
-    def test_wire_one_is_left_factor(self):
-        assert np.allclose(kron_embed(X, (1,), 2), np.kron(X, I2))
-
-    def test_wire_two_is_right_factor(self):
-        assert np.allclose(kron_embed(X, (2,), 2), np.kron(I2, X))
-
-    def test_cnot_is_permutation(self):
-        m = kron_embed(gate_matrix("cnot"), (1, 2), 2)
-        expected = np.eye(4, dtype=complex)
-        expected[[2, 3], :] = expected[[3, 2], :]
-        assert np.allclose(m, expected)
-
-    def test_reversed_wire_order(self):
-        # control on wire 2: swaps indices 01 <-> 11
-        m = kron_embed(gate_matrix("cnot"), (2, 1), 2)
-        expected = np.eye(4, dtype=complex)
-        expected[[1, 3], :] = expected[[3, 1], :]
-        assert np.allclose(m, expected)
-
-    def test_wire_collision_rejected(self):
-        with pytest.raises(ValueError):
-            kron_embed(gate_matrix("cnot"), (1, 1), 2)
-
-    def test_matches_explicit_kron_for_three_wires(self):
-        rng = np.random.default_rng(41)
-        u = random_unitary_2x2(rng)
-        got = kron_embed(u, (2,), 3)
-        assert np.allclose(got, np.kron(I2, np.kron(u, I2)))
 
 
 class TestGateMatrices:
@@ -81,6 +46,10 @@ class TestRunMatrix:
     def test_not_gate(self):
         state = run_matrix(Circuit(1, (GateOp("x", (1,)),)))
         assert np.allclose(state.amplitudes, [0, 1])
+
+    def test_unknown_gate_rejected(self):
+        with pytest.raises(ValueError, match="unknown gate 'nope'"):
+            run_matrix(Circuit(1, (GateOp("nope", (1,)),)))
 
     def test_bell_pair(self):
         circuit = parse_circuit("qubits 2\nh 1\ncnot 1 2\n")
