@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -170,7 +171,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+    """Python's complex syntax, where a trailing imaginary unit may also be written i."""
+    text = text.replace(" ", "")
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def cmd_bloch(args: argparse.Namespace) -> int:
@@ -215,6 +218,17 @@ def cmd_gate_dump(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tol`` argument: a finite number > 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliffsim",
@@ -229,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--probabilities", action="store_true")
     run.add_argument("--show-algebra", action="store_true")
     run.add_argument("--json", action="store_true")
-    run.add_argument("--tol", type=float, default=1e-9)
+    run.add_argument("--tol", type=_tolerance, default=1e-9)
     run.set_defaults(func=cmd_run)
 
     fuzz = sub.add_parser("fuzz", help="differential test against the matrix backend")
@@ -237,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--circuits", type=int, default=200)
     fuzz.add_argument("--max-qubits", type=int, default=4)
     fuzz.add_argument("--depth", type=int, default=20)
-    fuzz.add_argument("--tol", type=float, default=1e-9)
+    fuzz.add_argument("--tol", type=_tolerance, default=1e-9)
     fuzz.add_argument("--json", action="store_true")
     fuzz.set_defaults(func=cmd_fuzz)
 

@@ -1,11 +1,14 @@
 """Quantum gates as unitary elements of the 2n-generator complex Clifford algebra.
 
-A gate is held in blade form (``GateElement.value``).  The Jordan-Wigner map
-is the one bridge between blades and amplitudes: on the basis words e_w
-(wire w) acts as Z_1 ... Z_{w-1} X_w and e_{w+n} as the same times -i Z_w,
-so every blade is one Pauli string phase * X^x Z^z.  ``_pauli_string`` and
-its inverse ``_blade_mask`` state it in closed form; ``apply`` and the
-builders go through them.
+A gate is held as its Pauli table (``GateElement.paulis``): the ordered
+strings coeff * X^x Z^z that it is on the amplitudes.  The builders write the
+table straight from the gate's words and ``apply`` reads it.  The
+Jordan-Wigner map is the one bridge between blades and amplitudes: on the
+basis words e_w (wire w) acts as Z_1 ... Z_{w-1} X_w and e_{w+n} as the same
+times -i Z_w, so every blade is one Pauli string phase * X^x Z^z.
+``_pauli_string`` and its inverse ``_blade_mask`` state it in closed form;
+only the blade form (``GateElement.value``, for display and algebra) and
+``GateElement.from_blades`` go through them.
 
 Each registry gate in ``GATE_SPECS`` is data: a sum of words, each word
 giving one wire's coordinates on (f_k f_k^dagger, f_k, f_k^dagger,
@@ -50,12 +53,37 @@ __all__ = [
 ]
 
 
+# coeff * X^x Z^z on the amplitude index bits, Z^z first, as (x, z, coeff).
+PauliTerm = tuple[int, int, complex]
+
+
 @dataclass(frozen=True)
 class GateElement:
-    """An algebra element used as an operator on n qubits."""
+    """An algebra element used as an operator on n qubits, held as its Pauli table."""
 
     n: int
-    value: Multivector
+    paulis: tuple[PauliTerm, ...]
+
+    @property
+    def value(self) -> Multivector:
+        """The blade form, rebuilt on every read: X^x Z^z is the blade ``_blade_mask(x, z)`` over its phase."""
+        terms = {}
+        for x, z, coeff in self.paulis:
+            mask = _blade_mask(x, z, self.n)
+            terms[mask] = coeff * _pauli_string(mask, self.n)[2].conjugate()
+        return Multivector(2 * self.n, terms)
+
+    @classmethod
+    def from_blades(cls, value: Multivector) -> GateElement:
+        """The element ``value`` of a 2n-generator algebra, each blade turned into its Pauli string."""
+        n, odd = divmod(value.signature.dim, 2)
+        if odd or value.signature.q:
+            raise ValueError(f"signature {value.signature} is not the 2n Euclidean generators of n qubits")
+        paulis = []
+        for mask, coeff in value.terms.items():
+            x, z, phase = _pauli_string(mask, n)
+            paulis.append((x, z, coeff * phase))
+        return cls(n, tuple(paulis))
 
 
 # Coordinates (a, b, c, d) of a wire operator on (f f^dag, f, f^dag, f^dag f).
@@ -90,11 +118,11 @@ def super_tensor(ctx: WittContext, factors: Sequence[Multivector | None]) -> Gat
     if len(factors) != ctx.n:
         raise ValueError(f"expected {ctx.n} factors, got {len(factors)}")
     word = tuple(None if f is None else wire_coordinates(ctx, f, k) for k, f in enumerate(factors, start=1))
-    return GateElement(ctx.n, _blades(ctx, range(1, ctx.n + 1), (word,)))
+    return GateElement(ctx.n, _pauli_table(ctx.n, range(1, ctx.n + 1), (word,)))
 
 
 def gate_identity(ctx: WittContext) -> GateElement:
-    return GateElement(ctx.n, ctx.one())
+    return GateElement(ctx.n, ((0, 0, 1 + 0j),))
 
 
 def ketbra(ctx: WittContext, bits_out, bits_in) -> Multivector:
@@ -151,15 +179,15 @@ def _blade_mask(x: int, z: int, n: int) -> int:
     return _wire_bits(x ^ b, n) | _wire_bits(b, n) << n
 
 
-def _blades(ctx: WittContext, wires: Sequence[int], words: Words) -> Multivector:
-    """Sum of the words on ``wires``, each the tensor product of its wire operators, as blades.
+def _pauli_table(n: int, wires: Sequence[int], words: Words) -> tuple[PauliTerm, ...]:
+    """Sum of the words on ``wires``, each the tensor product of its wire operators, as Pauli strings.
 
     A wire operator [[a, b], [c, d]] is (a+d)/2 I + (a-d)/2 Z + (b+c)/2 X + (c-b)/2 XZ.
-    A word expands into Pauli strings over its wires in ascending order, and
-    the string X^x Z^z is the blade ``_blade_mask(x, z)`` over its phase.
+    A word expands into Pauli strings over its wires in ascending order; equal
+    strings are summed in order of first appearance and the sums pruned as a
+    ``Multivector`` prunes its terms.
     """
-    n = ctx.n
-    out: dict[int, complex] = {}
+    sums: dict[tuple[int, int], complex] = {}
     for word in words:
         strings = [(0, 0, 1 + 0j)]
         for k, (a, b, c, d) in sorted((k, coords) for k, coords in zip(wires, word) if coords is not None):
@@ -172,37 +200,37 @@ def _blades(ctx: WittContext, wires: Sequence[int], words: Words) -> Multivector
                 if not abs(coeff * p) < PRUNE_EPS
             ]
         for x, z, coeff in strings:
-            mask = _blade_mask(x, z, n)
             # 0j + turns a -0.0 part into +0.0, as the blade product does.
-            out[mask] = out.get(mask, 0j) + coeff * _pauli_string(mask, n)[2].conjugate()
-    return Multivector(ctx.signature, out)
+            sums[x, z] = sums.get((x, z), 0j) + coeff
+    return tuple((x, z, coeff) for (x, z), coeff in sums.items() if not abs(coeff) < PRUNE_EPS)
 
 
 def apply(g: GateElement, state: SpinorState) -> SpinorState:
     """Left multiplication of the state by the gate element.
 
-    Each blade term of the gate is a signed permutation of the amplitudes,
-    out[i] += c * phase * (-1)^popcount((i ^ x) & z) * a[i ^ x].
+    Each Pauli string of the gate is a signed permutation of the amplitudes,
+    out[i] += coeff * (-1)^popcount((i ^ x) & z) * a[i ^ x], the sign read
+    from one parity table.
     """
     if g.n != state.n:
         raise ValueError(f"gate acts on {g.n} qubits, state has {state.n}")
     amps = state.amplitudes
     index = np.arange(amps.size)
+    # bitwise_count is uint8: take the parity, never 1 - 2 * count.
+    parity = np.where(np.bitwise_count(index) & 1, -1.0, 1.0)
     out = np.zeros_like(amps)
-    for mask, coeff in g.value.terms.items():
-        x, z, phase = _pauli_string(mask, g.n)
+    for x, z, coeff in g.paulis:
         source = index ^ x
-        # bitwise_count is uint8: take the parity, never 1 - 2 * count.
-        sign = np.where(np.bitwise_count(source & z) & 1, -1.0, 1.0)
-        out += (coeff * phase) * sign * amps[source]
+        out += coeff * parity[source & z] * amps[source]
     return amplitudes_to_state(state.ctx, out)
 
 
 def is_unitary(g: GateElement, tol: float = UNITARY_TOL) -> bool:
     """Checks g^dagger g = 1 and g g^dagger = 1."""
-    one = Multivector.scalar(g.value.signature, 1.0)
-    dag = g.value.dagger()
-    return (dag * g.value).isclose(one, tol) and (g.value * dag).isclose(one, tol)
+    value = g.value
+    one = Multivector.scalar(value.signature, 1.0)
+    dag = value.dagger()
+    return (dag * value).isclose(one, tol) and (value * dag).isclose(one, tol)
 
 
 def measure_probabilities(ctx: WittContext, state: SpinorState) -> list[float]:
@@ -320,7 +348,7 @@ def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float])
 
 def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
     """The registry gate ``name`` on ``wires``: the sum of its words' super tensor products."""
-    return GateElement(ctx.n, _blades(ctx, wires, gate_words(name, ctx.n, wires, params)))
+    return GateElement(ctx.n, _pauli_table(ctx.n, wires, gate_words(name, ctx.n, wires, params)))
 
 
 def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:

@@ -227,3 +227,19 @@ class TestRunClifford:
         assert {op.name for op in circuit.ops} == set(GATE_SPECS)
         state = run_clifford(circuit)
         assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-10
+
+    def test_run_path_never_builds_the_blade_form(self, monkeypatch):
+        # gates are built and applied as Pauli tables; the blade form is for display alone
+        import cliffsim.gates
+        from cliffsim.matrix_backend import run_matrix
+
+        def refuse(*args):
+            raise AssertionError("run_clifford went through the blade form")
+
+        monkeypatch.setattr(cliffsim.gates, "_pauli_string", refuse)
+        monkeypatch.setattr(cliffsim.gates, "_blade_mask", refuse)
+        monkeypatch.setattr(cliffsim.gates.GateElement, "value", property(refuse))
+        circuit = random_circuit(np.random.default_rng(151), 4, 60)
+        assert {op.name for op in circuit.ops} == set(GATE_SPECS)
+        state = run_clifford(circuit)
+        assert np.max(np.abs(state.amplitudes - run_matrix(circuit).amplitudes)) < 1e-10

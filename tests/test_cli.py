@@ -98,8 +98,14 @@ class TestRun:
     def test_bad_init_exits_2(self, bell_file, capsys):
         assert main(["run", "--init", "0", bell_file]) == 2
 
-    def test_deviation_failure_exits_1(self, bell_file, capsys):
-        assert main(["run", "--backend", "both", "--tol", "0", bell_file]) == 1
+    def test_deviation_failure_exits_1(self, bell_file, capsys, monkeypatch):
+        # a Clifford backend that leaves the state at |00> deviates from the oracle's Bell state
+        def stuck(circuit, bits=None):
+            return amplitudes_to_state(WittContext(2), [1, 0, 0, 0])
+
+        monkeypatch.setattr(cliffsim.matrix_backend, "run_clifford", stuck)
+        assert main(["run", "--backend", "both", bell_file]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flags):
@@ -172,8 +178,26 @@ class TestRun:
         assert len(calls) == 1
 
     def test_nan_tolerance_is_not_a_pass(self, bell_file, capsys):
-        assert main(["run", "--backend", "both", "--tol", "nan", bell_file]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--backend", "both", "--tol", "nan", bell_file])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tol: must be a finite number > 0, got 'nan'" in captured.err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "-0.0", "inf", "1e999", "abc"])
+    def test_tolerance_must_be_finite_and_positive(self, bell_file, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--backend", "both", "--tol", tol, bell_file])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --tol: must be a finite number > 0, got {tol!r}" in captured.err
+
+    def test_show_algebra_with_both_backends(self, bell_file, capsys):
+        assert main(["run", "--show-algebra", "--backend", "both", bell_file]) == 0
+        out = capsys.readouterr().out
+        assert "h 1: " in out and "cnot 1 2: " in out and "PASS" in out
 
 
 class TestFuzz:
@@ -210,6 +234,15 @@ class TestFuzz:
         assert captured.out == ""
         assert flags.split()[0] in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--circuits", "2", "--depth", "2", "--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --tol: must be a finite number > 0, got {tol!r}" in captured.err
+
 
 class TestBloch:
     def test_real_pair(self, capsys):
@@ -231,6 +264,24 @@ class TestBloch:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not normalized" in captured.err
+
+    @pytest.mark.parametrize(
+        "pair", [["inf", "0"], ["0", "inf"], ["-inf", "0"], ["0", "-inf"], ["infinity", "0"], ["0", "infinity"]]
+    )
+    def test_infinite_amplitude_exits_2(self, capsys, pair):
+        # "--" ends the options, so that "-inf" is read as an amplitude
+        assert main(["bloch", "--", *pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "amplitudes not normalized: |a|^2+|b|^2 = inf" in captured.err
+
+    def test_trailing_i_is_the_imaginary_unit(self, capsys):
+        assert main(["bloch", "0.6", "0.8i"]) == 0
+        assert capsys.readouterr().out == (
+            "theta = 1.854590436003\n"
+            "phi   = 1.570796326795\n"
+            "point = (-0.000000000000, +0.960000000000, -0.280000000000)\n"
+        )
 
 
 class TestIsoCheck:

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 import random
 
@@ -32,6 +33,16 @@ from cliffsim.witt import (
     spinor_inner,
     state_to_amplitudes,
 )
+
+
+def random_params(rng, spec):
+    """Seeded parameters of a registry gate: an angle for phase, a unitary's re/im pairs for u2."""
+    if spec.params == 0:
+        return ()
+    if spec.params == 1:
+        return (float(rng.uniform(0, 2 * math.pi)),)
+    u = random_unitary_2x2(rng)
+    return tuple(float(x) for e in (u[0, 0], u[0, 1], u[1, 0], u[1, 1]) for x in (e.real, e.imag))
 
 
 @pytest.fixture
@@ -78,7 +89,7 @@ class TestSingleQubitGoldenForms:
         xz = build_gate(ctx1, "x", (1,)).value * build_gate(ctx1, "z", (1,)).value
         assert xz.terms == (ctx1.fdag(1) - ctx1.f(1)).terms
         # Z negates |1>, then X flips it: XZ|1> = -|0>
-        flipped = apply(GateElement(1, xz), basis_state(ctx1, [1]))
+        flipped = apply(GateElement.from_blades(xz), basis_state(ctx1, [1]))
         assert flipped.value.terms == (-basis_state(ctx1, [0]).value).terms
 
     def test_involutions(self, ctx1):
@@ -379,7 +390,7 @@ class TestUnitarity:
     def test_bare_witt_element_is_not(self, ctx1):
         from cliffsim.gates import GateElement
 
-        assert not is_unitary(GateElement(1, ctx1.f(1)))
+        assert not is_unitary(GateElement.from_blades(ctx1.f(1)))
 
     def test_gate_element_is_immutable(self, ctx1):
         g = build_gate(ctx1, "x", (1,))
@@ -394,18 +405,7 @@ class TestUnitarity:
                 if spec.wires > n:
                     continue
                 wires = tuple(range(1, spec.wires + 1))
-                if spec.params == 0:
-                    params = ()
-                elif spec.params == 1:
-                    params = (float(rng.uniform(0, 2 * math.pi)),)
-                else:
-                    u = random_unitary_2x2(rng)
-                    params = tuple(
-                        float(x)
-                        for e in (u[0, 0], u[0, 1], u[1, 0], u[1, 1])
-                        for x in (e.real, e.imag)
-                    )
-                assert is_unitary(build_gate(ctx, name, wires, params)), name
+                assert is_unitary(build_gate(ctx, name, wires, random_params(rng, spec))), name
 
     def test_products_of_unitaries(self, ctx2):
         rng = np.random.default_rng(113)
@@ -417,7 +417,7 @@ class TestUnitarity:
             total = ctx2.one()
             for op in circuit.ops:
                 total = build_gate(ctx2, op.name, op.wires, op.params).value * total
-            assert is_unitary(GateElement(2, total))
+            assert is_unitary(GateElement.from_blades(total))
 
     def test_hermitian_product_preserved(self, ctx2):
         rng = np.random.default_rng(127)
@@ -475,7 +475,7 @@ class TestApplication:
             blade = Multivector(ctx.signature, {mask: 1.0})
             for k in indices:
                 basis = basis_state(ctx, index_bits(k, n))
-                got = apply(GateElement(n, blade), basis).value
+                got = apply(GateElement.from_blades(blade), basis).value
                 assert got.max_coeff_diff(blade * basis.value) <= 1e-15, (mask, k)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 13, 20, 32])
@@ -519,6 +519,31 @@ class TestApplication:
         out = rot * basis_state(ctx1, [1]).value
         expected = cmath.exp(0.5j * theta) * basis_state(ctx1, [1]).value
         assert out.max_coeff_diff(expected) < 1e-12
+
+
+class TestBladeForm:
+    def test_display_form_agrees_with_run_form(self):
+        # the blade form, turned back into Pauli strings, is the table that apply reads
+        from cliffsim.gates import GateElement
+
+        rng = np.random.default_rng(157)
+        for n in (1, 2, 3, 4):
+            ctx = WittContext(n)
+            states = [amplitudes_to_state(ctx, rng.normal(size=2**n) + 1j * rng.normal(size=2**n)) for _ in range(3)]
+            for name, spec in GATE_SPECS.items():
+                for wires in itertools.permutations(range(1, n + 1), spec.wires):
+                    g = build_gate(ctx, name, wires, random_params(rng, spec))
+                    back = GateElement.from_blades(g.value)
+                    assert back.n == n
+                    assert back.paulis == g.paulis, (name, wires)
+                    for state in states:
+                        assert np.array_equal(apply(back, state).amplitudes, apply(g, state).amplitudes), (name, wires)
+
+    def test_from_blades_needs_a_qubit_algebra(self):
+        from cliffsim.gates import GateElement
+
+        with pytest.raises(ValueError):
+            GateElement.from_blades(Multivector(3, {1: 1.0}))
 
 
 class TestProbabilities:

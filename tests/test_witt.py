@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsim.multivector import Multivector, Signature
 from cliffsim.witt import (
@@ -48,6 +50,19 @@ class TestContextConstruction:
             ctx.f(3)
         with pytest.raises(ValueError):
             ctx.proj0(0)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_witt_relations_up_to_32_wires(data):
+    # f_j f_k^dagger + f_k^dagger f_j = delta_jk and f_j f_k + f_k f_j = 0 on any register
+    n = data.draw(st.integers(1, 32), label="n")
+    j = data.draw(st.integers(1, n), label="j")
+    k = data.draw(st.integers(1, n), label="k")
+    ctx = WittContext(n)
+    anti = ctx.f(j) * ctx.fdag(k) + ctx.fdag(k) * ctx.f(j)
+    assert anti.terms == ({0: 1 + 0j} if j == k else {})
+    assert (ctx.f(j) * ctx.f(k) + ctx.f(k) * ctx.f(j)).terms == {}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
