@@ -47,11 +47,14 @@ _TOKEN = re.compile(r"\S+")
 def run_bytes(n_qubits: int) -> int:
     """Estimated peak memory of `run_clifford` on an n-qubit register.
 
-    One `apply` raises peak RSS by 6.1-6.8 times the 16 * 2^n bytes of an
-    amplitude vector (measured at n = 16..20, Python 3.11, numpy 2.4); the
-    estimate rounds up to 7.
+    A run holds one `apply`'s input and output amplitude vectors (16 * 2^n
+    bytes each) and that gate's block temporaries, which take a fixed few MiB
+    whatever n (about 7 MiB for an 8-string gate).  Measured peak-RSS growth
+    per run at n = 16..22 (Python 3.11, numpy 2.4) was 2.0-3.6 vectors at
+    n >= 18 and 5.1-9.3 one-MiB vectors at n = 16, where the fixed part
+    dominates; the estimate is 4 vectors plus 8 MiB.
     """
-    return 7 * 16 * 2**n_qubits
+    return 4 * 16 * 2**n_qubits + 8 * 2**20
 
 
 def _tokens(text_line: str) -> list[tuple[str, int]]:

@@ -275,6 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["bloch"] and not {"-h", "--help", "--"} & set(argv):
+        # bloch has no option but -h, so every other token is an amplitude:
+        # "--" keeps argparse from reading one like -0.8j or -inf as a flag.
+        argv.insert(1, "--")
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

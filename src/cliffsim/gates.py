@@ -2,10 +2,11 @@
 
 A gate is held as its Pauli table (``GateElement.paulis``): the ordered
 strings coeff * X^x Z^z that it is on the amplitudes.  The builders write the
-table straight from the gate's words and ``apply`` reads it.  The
-Jordan-Wigner map is the one bridge between blades and amplitudes: on the
-basis words e_w (wire w) acts as Z_1 ... Z_{w-1} X_w and e_{w+n} as the same
-times -i Z_w, so every blade is one Pauli string phase * X^x Z^z.
+table straight from the gate's words, and ``apply`` gathers the whole table
+at once, one block of output indices at a time.  The Jordan-Wigner map is
+the one bridge between blades and amplitudes: on the basis words e_w (wire w)
+acts as Z_1 ... Z_{w-1} X_w and e_{w+n} as the same times -i Z_w, so every
+blade is one Pauli string phase * X^x Z^z.
 ``_pauli_string`` and its inverse ``_blade_mask`` state it in closed form;
 only the blade form (``GateElement.value``, for display and algebra) and
 ``GateElement.from_blades`` go through them.
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .multivector import PRUNE_EPS, Multivector
-from .witt import SpinorState, WittContext, amplitudes_to_state, basis_state, state_to_amplitudes
+from .witt import SpinorState, WittContext, _freeze, basis_state, state_to_amplitudes
 
 UNITARY_TOL = 1e-10
 
@@ -55,6 +56,10 @@ __all__ = [
 
 # coeff * X^x Z^z on the amplitude index bits, Z^z first, as (x, z, coeff).
 PauliTerm = tuple[int, int, complex]
+# A Pauli table as columns, for ``apply``.
+_PAULI_COLUMNS = np.dtype([("x", np.int64), ("z", np.int64), ("coeff", complex)])
+# Output indices per block of ``apply``.
+_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -209,20 +214,30 @@ def apply(g: GateElement, state: SpinorState) -> SpinorState:
     """Left multiplication of the state by the gate element.
 
     Each Pauli string of the gate is a signed permutation of the amplitudes,
-    out[i] += coeff * (-1)^popcount((i ^ x) & z) * a[i ^ x], the sign read
-    from one parity table.
+    out[i] = sum over the table of coeff * (-1)^popcount((i ^ x) & z) * a[i ^ x].
+    All strings are applied together, one block of at most ``_BLOCK`` output
+    indices at a time, so every temporary holds T * _BLOCK entries for a
+    T-string table whatever the register size.  The sum runs over the table
+    in order from +0.0, so each amplitude is the same sequence of operations
+    as one string at a time.
     """
     if g.n != state.n:
         raise ValueError(f"gate acts on {g.n} qubits, state has {state.n}")
     amps = state.amplitudes
-    index = np.arange(amps.size)
-    # bitwise_count is uint8: take the parity, never 1 - 2 * count.
-    parity = np.where(np.bitwise_count(index) & 1, -1.0, 1.0)
-    out = np.zeros_like(amps)
-    for x, z, coeff in g.paulis:
-        source = index ^ x
-        out += coeff * parity[source & z] * amps[source]
-    return amplitudes_to_state(state.ctx, out)
+    # a list, since numpy reads the outer tuple of a tuple of tuples as one record
+    table = np.array(list(g.paulis), dtype=_PAULI_COLUMNS).reshape(-1, 1)
+    x, z, coeff = table["x"], table["z"], table["coeff"]
+    out = np.empty_like(amps)
+    for start in range(0, amps.size, _BLOCK):
+        stop = min(start + _BLOCK, amps.size)
+        source = np.arange(start, stop) ^ x
+        # bitwise_count is uint8: take the parity, never 1 - 2 * count.
+        terms = coeff * np.where(np.bitwise_count(source & z) & 1, -1.0, 1.0)
+        terms *= amps[source]
+        np.add.reduce(terms, axis=0, initial=0j, out=out[start:stop])
+    result = object.__new__(SpinorState)
+    _freeze(result, state.ctx, out)
+    return result
 
 
 def is_unitary(g: GateElement, tol: float = UNITARY_TOL) -> bool:

@@ -275,6 +275,34 @@ class TestBloch:
         assert captured.out == ""
         assert "amplitudes not normalized: |a|^2+|b|^2 = inf" in captured.err
 
+    @pytest.mark.parametrize("pair", [["0.6", "-0.8j"], ["-0.6+0.8j", "0"], ["-0.6", "-0.8"], ["-1j", "0"]])
+    def test_amplitude_starting_with_minus_reads_as_after_double_dash(self, capsys, pair):
+        assert main(["bloch", "--", *pair]) == 0
+        expected = capsys.readouterr().out
+        assert main(["bloch", *pair]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_negative_imaginary_amplitude_prints_the_angles(self, capsys):
+        assert main(["bloch", "0.6", "-0.8j"]) == 0
+        assert capsys.readouterr().out == (
+            "theta = 1.854590436003\n"
+            "phi   = 4.712388980385\n"
+            "point = (-0.000000000000, -0.960000000000, -0.280000000000)\n"
+        )
+
+    @pytest.mark.parametrize("pair", [["0", "-inf"], ["-inf", "0"]])
+    def test_negative_infinity_needs_no_double_dash(self, capsys, pair):
+        assert main(["bloch", *pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "amplitudes not normalized: |a|^2+|b|^2 = inf" in captured.err
+
+    def test_help_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bloch", "0.6", "-h"])
+        assert exc.value.code == 0
+        assert "usage: cliffsim bloch" in capsys.readouterr().out
+
     def test_trailing_i_is_the_imaginary_unit(self, capsys):
         assert main(["bloch", "0.6", "0.8i"]) == 0
         assert capsys.readouterr().out == (

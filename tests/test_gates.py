@@ -35,6 +35,25 @@ from cliffsim.witt import (
 )
 
 
+def per_string_apply(g, state):
+    """The kernel one string at a time: out[i] += coeff * (-1)^popcount((i ^ x) & z) * a[i ^ x], from zeros."""
+    amps = state.amplitudes
+    index = np.arange(amps.size)
+    out = np.zeros_like(amps)
+    for x, z, coeff in g.paulis:
+        source = index ^ x
+        out += coeff * np.where(np.bitwise_count(source & z) & 1, -1.0, 1.0) * amps[source]
+    return out
+
+
+def random_amplitudes(rng, n):
+    """A seeded dense vector with some exact zeros and negative-zero parts among its entries."""
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v[rng.integers(0, 2**n, size=2**n // 4)] = 0j
+    v[rng.integers(0, 2**n, size=2**n // 4)] = complex(-0.0, 1.0)
+    return v
+
+
 def random_params(rng, spec):
     """Seeded parameters of a registry gate: an angle for phase, a unitary's re/im pairs for u2."""
     if spec.params == 0:
@@ -456,6 +475,43 @@ class TestApplication:
     def test_qubit_count_mismatch(self, ctx1, ctx2):
         with pytest.raises(ValueError):
             apply(build_gate(ctx1, "x", (1,)), basis_state(ctx2, [0, 0]))
+
+    def test_empty_table_gives_zero_state(self, ctx2):
+        g = super_tensor(ctx2, [Multivector.zero(ctx2.signature), None])
+        assert g.paulis == ()
+        s = amplitudes_to_state(ctx2, [0.5, 0.5j, -0.5, 0.5])
+        assert apply(g, s).amplitudes.tobytes() == np.zeros(4, dtype=complex).tobytes()
+
+    # n = 15 and 16 apply in two and four blocks of output indices
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 15, 16])
+    @pytest.mark.parametrize("size", [0, 1, 8, 64])
+    def test_random_table_matches_per_string_formula(self, n, size):
+        from cliffsim.gates import GateElement
+
+        rng = np.random.default_rng(1000 * n + size)
+        exact = [1, -1, 1j, -1j, 0.5, -0.5j, complex(-0.0, 0.5), 0]
+        paulis = tuple(
+            (
+                int(rng.integers(0, 2**n)),
+                int(rng.integers(0, 2**n)),
+                complex(exact[i % 8]) if i % 2 else complex(rng.normal(), rng.normal()),
+            )
+            for i in range(size)
+        )
+        g = GateElement(n, paulis)
+        s = amplitudes_to_state(WittContext(n), random_amplitudes(rng, n))
+        assert apply(g, s).amplitudes.tobytes() == per_string_apply(g, s).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(GATE_SPECS))
+    def test_registry_gate_on_highest_wires_matches_per_string_formula(self, name):
+        n = 16
+        rng = np.random.default_rng(sorted(GATE_SPECS).index(name))
+        ctx = WittContext(n)
+        spec = GATE_SPECS[name]
+        wires = tuple(int(w) for w in rng.permutation(range(n - spec.wires + 1, n + 1)))
+        g = build_gate(ctx, name, wires, random_params(rng, spec))
+        s = amplitudes_to_state(ctx, random_amplitudes(rng, n))
+        assert apply(g, s).amplitudes.tobytes() == per_string_apply(g, s).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 13, 16])
     def test_blade_action_matches_blade_product(self, n):

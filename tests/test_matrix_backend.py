@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cliffsim.circuit import Circuit, GateOp, parse_circuit
+from cliffsim.circuit import Circuit, GateOp, parse_circuit, run_clifford
 from cliffsim.gates import GATE_SPECS
 from cliffsim.matrix_backend import (
     compare_backends,
@@ -130,3 +130,28 @@ class TestFuzz:
                 assert all(1 <= w <= 4 for w in op.wires)
                 assert len(set(op.wires)) == len(op.wires)
                 assert op.name in GATE_SPECS
+
+
+class TestEmbeddedOracle:
+    """Registers above the oracle's cap: a k-qubit circuit on k of n wires against the k-qubit oracle."""
+
+    @pytest.mark.parametrize("n, seed", [(n, 3 * i + j) for i, n in enumerate((13, 16, 18)) for j in range(3)])
+    def test_small_circuit_on_a_large_register(self, n, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 6))
+        small = random_circuit(rng, k, int(rng.integers(10, 31)))
+        wires = [int(w) + 1 for w in rng.choice(n, size=k, replace=False)]
+        bits = rng.integers(0, 2, size=n)
+        # an idle wire in 1, where a Z string acts as -1
+        bits[[w - 1 for w in range(1, n + 1) if w not in wires][0]] = 1
+        big = Circuit(n, tuple(GateOp(op.name, tuple(wires[w - 1] for w in op.wires), op.params) for op in small.ops))
+        got = run_clifford(big, [int(b) for b in bits]).amplitudes
+
+        # small index j is placed at the big index whose bit on wire wires[p] is bit p of j (MSB first)
+        # and whose idle bits are the initial ones
+        index = np.full(2**k, sum(int(b) << (n - w) for w, b in enumerate(bits, start=1) if w not in wires))
+        for p, w in enumerate(wires):
+            index |= (np.arange(2**k) >> (k - 1 - p) & 1) << (n - w)
+        expected = np.zeros(2**n, dtype=complex)
+        expected[index] = run_matrix(small, [int(bits[w - 1]) for w in wires]).amplitudes
+        assert np.max(np.abs(got - expected)) <= 1e-9
