@@ -11,6 +11,7 @@ from .gates import (
     GATE_SPECS,
     GateElement,
     apply,
+    apply_all,
     build_gate,
     gate_from_u2,
     gate_identity,

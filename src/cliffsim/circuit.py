@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .gates import GateOpError, apply, build_gate, gate_spec, gate_words
+from .gates import GateOpError, apply_all, build_gate, gate_spec, gate_words
 from .witt import MAX_QUBITS, SpinorState, WittContext, basis_state
 
 
@@ -45,14 +45,17 @@ _TOKEN = re.compile(r"\S+")
 
 
 def run_bytes(n_qubits: int) -> int:
-    """Estimated peak memory of `run_clifford` on an n-qubit register.
+    """Estimated peak memory of `run_clifford`, and of `cliffsim run`, on an n-qubit register.
 
-    A run holds one `apply`'s input and output amplitude vectors (16 * 2^n
-    bytes each) and that gate's block temporaries, which take a fixed few MiB
-    whatever n (about 7 MiB for an 8-string gate).  Measured peak-RSS growth
-    per run at n = 16..22 (Python 3.11, numpy 2.4) was 2.0-3.6 vectors at
-    n >= 18 and 5.1-9.3 one-MiB vectors at n = 16, where the fixed part
-    dominates; the estimate is 4 vectors plus 8 MiB.
+    A run holds a gate's input and output amplitude vectors (16 * 2^n bytes
+    each) and one batch of `apply_all` temporaries, which take a fixed few
+    MiB whatever n (2 MiB for a batch of small gates, about 6 MiB for one
+    8-string gate).  `cliffsim run --json` writes its output a block at a
+    time.  Measured peak-RSS growth per run at n = 16..22 (Python 3.11,
+    numpy 2.4) was 2.05-2.8 vectors at n >= 18 and 5.1-5.3 one-MiB vectors
+    at n = 16, where the fixed part dominates; `cliffsim run --json` grew by
+    6.6 MiB at n = 16 and by 3.2 and 2.3 vectors at n = 18 and 20.  The
+    estimate is 4 vectors plus 8 MiB.
     """
     return 4 * 16 * 2**n_qubits + 8 * 2**20
 
@@ -136,10 +139,12 @@ def parse_bits(text: str, n: int) -> tuple[int, ...]:
 
 
 def run_clifford(circuit: Circuit, init_bits=None) -> SpinorState:
-    """Evaluate the circuit in the Clifford-algebra backend."""
+    """Evaluate the circuit in the Clifford-algebra backend.
+
+    The gates are built as ``apply_all`` takes them, so a run holds one batch
+    of Pauli tables at a time whatever the circuit's length.
+    """
     ctx = WittContext(circuit.n_qubits)
     bits = tuple(init_bits) if init_bits is not None else (0,) * circuit.n_qubits
-    state = basis_state(ctx, bits)
-    for op in circuit.ops:
-        state = apply(build_gate(ctx, op.name, op.wires, op.params), state)
-    return state
+    gates = (build_gate(ctx, op.name, op.wires, op.params) for op in circuit.ops)
+    return apply_all(gates, basis_state(ctx, bits))

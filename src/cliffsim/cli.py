@@ -6,30 +6,43 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
+from typing import Iterator
+
+import numpy as np
 
 from .circuit import CircuitError, parse_bits, parse_circuit, run_clifford
 from .gates import build_gate, gate_spec
 from .matrix_backend import MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
 from .real_ga import bloch_angles, bloch_verify, iso_check
-from .witt import MAX_QUBITS, WittContext, render_witt, state_to_amplitudes
+from .witt import MAX_QUBITS, WittContext, render_witt
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
+# Amplitudes per block of printed output: a block's Python objects and JSON
+# text take about 2 MiB.
+_PRINT_BLOCK = 2**12
 
-def _print_amplitudes(amps, n: int) -> None:
-    for k, a in enumerate(amps):
+
+def _blocks(amps: np.ndarray) -> Iterator[list[complex]]:
+    """The amplitudes as Python complex numbers, one list per block of ``_PRINT_BLOCK``."""
+    return (amps[start : start + _PRINT_BLOCK].tolist() for start in range(0, amps.size, _PRINT_BLOCK))
+
+
+def _print_amplitudes(amps: np.ndarray, n: int) -> None:
+    for k, a in enumerate(itertools.chain.from_iterable(_blocks(amps))):
         label = format(k, f"0{n}b")
         print(f"|{label}>  {a.real:+.10f}{a.imag:+.10f}i")
 
 
-def _print_probabilities(amps, n: int) -> None:
-    for k, a in enumerate(amps):
+def _print_probabilities(amps: np.ndarray, n: int) -> None:
+    for k, a in enumerate(itertools.chain.from_iterable(_blocks(amps))):
         label = format(k, f"0{n}b")
         print(f"p(|{label}>) = {abs(a) ** 2:.10f}")
 
@@ -38,13 +51,37 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _refuse_non_finite() -> bool:
+    print("error: result has a non-finite value, which JSON cannot carry", file=sys.stderr)
+    return False
+
+
 def _print_json(payload: dict) -> bool:
     """Print one JSON line; False, with a message, if a value is not finite."""
     try:
         print(json.dumps(payload, allow_nan=False))
     except ValueError:
-        print("error: result has a non-finite value, which JSON cannot carry", file=sys.stderr)
-        return False
+        return _refuse_non_finite()
+    return True
+
+
+def _print_run_json(backend: str, amps: np.ndarray, deviation: float | None) -> bool:
+    """``_print_json`` of the ``run --json`` payload, written one block of amplitudes at a time.
+
+    The text is what ``json.dumps`` gives for the whole payload, but neither
+    it nor a Python list of every amplitude is ever held at once.  A
+    non-finite value is refused before anything is written.
+    """
+    if not np.isfinite(amps).all() or not math.isfinite(0.0 if deviation is None else deviation):
+        return _refuse_non_finite()
+    write = sys.stdout.write
+    write(f'{{"backend": {json.dumps(backend)}, "amplitudes": [')
+    for i, block in enumerate(_blocks(amps)):
+        write(", " * (i > 0) + json.dumps([[a.real, a.imag] for a in block])[1:-1])
+    write('], "probabilities": [')
+    for i, block in enumerate(_blocks(amps)):
+        write(", " * (i > 0) + json.dumps([abs(a) ** 2 for a in block])[1:-1])
+    write(f'], "deviation": {json.dumps(deviation)}}}\n')
     return True
 
 
@@ -70,14 +107,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     state = None
     if args.backend == "both":
         report = compare_backends(circuit, bits, tol=args.tol)
-        amps = list(report.clifford)
+        amps = report.clifford
         deviation = report.max_deviation
         passed = report.passed
     elif args.backend == "matrix":
-        amps = list(run_matrix(circuit, bits).amplitudes)
+        amps = run_matrix(circuit, bits).amplitudes
     else:
         state = run_clifford(circuit, bits)
-        amps = state_to_amplitudes(state.ctx, state)
+        amps = state.amplitudes
 
     if args.show_algebra:
         ctx = WittContext(n)
@@ -92,13 +129,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"state blades: {value.render()}")
 
     if args.json:
-        payload = {
-            "backend": args.backend,
-            "amplitudes": [[a.real, a.imag] for a in amps],
-            "probabilities": [abs(a) ** 2 for a in amps],
-            "deviation": deviation,
-        }
-        if not _print_json(payload):
+        if not _print_run_json(args.backend, amps, deviation):
             return EXIT_VERIFY
     else:
         _print_amplitudes(amps, n)

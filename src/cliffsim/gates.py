@@ -2,11 +2,15 @@
 
 A gate is held as its Pauli table (``GateElement.paulis``): the ordered
 strings coeff * X^x Z^z that it is on the amplitudes.  The builders write the
-table straight from the gate's words, and ``apply`` gathers the whole table
-at once, one block of output indices at a time.  The Jordan-Wigner map is
-the one bridge between blades and amplitudes: on the basis words e_w (wire w)
-acts as Z_1 ... Z_{w-1} X_w and e_{w+n} as the same times -i Z_w, so every
-blade is one Pauli string phase * X^x Z^z.
+table straight from the gate's words.  ``apply_all`` applies a sequence of
+gates in batches: the gather indices and signs, which do not depend on the
+amplitudes, are formed at once for a batch (a whole small circuit, or a few
+blocks of 2^14 output indices of one gate), and each gate then gathers,
+multiplies and sums its whole table.  ``apply`` is ``apply_all`` of one gate.
+
+The Jordan-Wigner map is the one bridge between blades and amplitudes: on the
+basis words e_w (wire w) acts as Z_1 ... Z_{w-1} X_w and e_{w+n} as the same
+times -i Z_w, so every blade is one Pauli string phase * X^x Z^z.
 ``_pauli_string`` and its inverse ``_blade_mask`` state it in closed form;
 only the blade form (``GateElement.value``, for display and algebra) and
 ``GateElement.from_blades`` go through them.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +45,7 @@ __all__ = [
     "GateSpec",
     "GATE_SPECS",
     "apply",
+    "apply_all",
     "build_gate",
     "gate_from_u2",
     "gate_identity",
@@ -210,34 +215,97 @@ def _pauli_table(n: int, wires: Sequence[int], words: Words) -> tuple[PauliTerm,
     return tuple((x, z, coeff) for (x, z), coeff in sums.items() if not abs(coeff) < PRUNE_EPS)
 
 
-def apply(g: GateElement, state: SpinorState) -> SpinorState:
-    """Left multiplication of the state by the gate element.
+def _batches(gates: Iterable[GateElement], n: int, size: int) -> Iterator[list[tuple[tuple[PauliTerm, ...], int, int]]]:
+    """The gates' units (table, start, rows) in order, grouped into batches.
 
-    Each Pauli string of the gate is a signed permutation of the amplitudes,
-    out[i] = sum over the table of coeff * (-1)^popcount((i ^ x) & z) * a[i ^ x].
-    All strings are applied together, one block of at most ``_BLOCK`` output
-    indices at a time, so every temporary holds T * _BLOCK entries for a
-    T-string table whatever the register size.  The sum runs over the table
-    in order from +0.0, so each amplitude is the same sequence of operations
-    as one string at a time.
+    A unit is one gate on the block of at most ``_BLOCK`` output indices from
+    ``start``, with one row per string of its table.  A batch takes
+    consecutive units while its rows times the block width fit in
+    4 * _BLOCK entries, and always holds at least one.
+    Gates are taken from ``gates`` only as the batches need them.
     """
-    if g.n != state.n:
-        raise ValueError(f"gate acts on {g.n} qubits, state has {state.n}")
-    amps = state.amplitudes
-    # a list, since numpy reads the outer tuple of a tuple of tuples as one record
-    table = np.array(list(g.paulis), dtype=_PAULI_COLUMNS).reshape(-1, 1)
-    x, z, coeff = table["x"], table["z"], table["coeff"]
-    out = np.empty_like(amps)
-    for start in range(0, amps.size, _BLOCK):
-        stop = min(start + _BLOCK, amps.size)
-        source = np.arange(start, stop) ^ x
+    width = min(size, _BLOCK)
+    units, rows = [], 0
+    for k, g in enumerate(gates):
+        if g.n != n:
+            raise ValueError(f"gate {k} acts on {g.n} qubits, state has {n}")
+        t = len(g.paulis)
+        for start in range(0, size, _BLOCK):
+            if units and (rows + t) * width > 4 * _BLOCK:
+                yield units
+                units, rows = [], 0
+            units.append((g.paulis, start, t))
+            rows += t
+    if units:
+        yield units
+
+
+def apply_all(gates: Iterable[GateElement], state: SpinorState) -> SpinorState:
+    """Left multiplication of the state by each gate element in turn.
+
+    Each Pauli string of a gate is a signed permutation of the amplitudes,
+    out[i] = sum over the table of coeff * (-1)^popcount((i ^ x) & z) * a[i ^ x].
+    The gather indices i ^ x and the signed coefficients do not depend on the
+    amplitudes, so they are formed once per batch of units (``_batches``): a
+    whole circuit of a few hundred strings at n <= 7, a few blocks of one
+    gate at n >= 15.  Per unit only the gather, the product and the sum over
+    the table remain.  The sum runs in table order from +0.0, so each
+    amplitude is the same sequence of operations as one string at a time.
+
+    Besides the input and output vectors, a run holds one batch: its source,
+    parity and signed coefficients (32 bytes per entry, at most 4 * _BLOCK
+    entries unless one unit has more) and one unit's gather.
+    """
+    ctx, amps = state.ctx, state.amplitudes
+    # The caller's reference is its own: dropping this one frees an input the
+    # caller passed as a temporary once the first gate is done.
+    del state
+    size = amps.size
+    width = min(size, _BLOCK)
+    lane = np.arange(width)
+    # Reused by every batch and grown only for a larger one: arrays allocated
+    # afresh per batch were returned to the system and faulted in again.
+    work = None
+    for units in _batches(gates, ctx.n, size):
+        # a list, since numpy reads the outer tuple of a tuple of tuples as one record
+        table = np.array([p for paulis, _, _ in units for p in paulis], dtype=_PAULI_COLUMNS).reshape(-1, 1)
+        if work is None or table.size > len(work[0]):
+            # Free the smaller buffers, and the last batch's views of them, first.
+            work = source = parity = signed = terms = None
+            work = [np.empty((table.size, width), dtype) for dtype in (np.int64, np.int64, complex)]
+        source, parity, signed = [w[: table.size] for w in work]
+        # The output index is start + lane = start ^ lane, as start is a multiple of the width.
+        np.bitwise_xor(lane, table["x"], out=source)
+        if width < size:
+            source ^= np.array([start for _, start, _ in units]).repeat([t for _, _, t in units]).reshape(-1, 1)
+        np.bitwise_and(source, table["z"], out=parity)
         # bitwise_count is uint8: take the parity, never 1 - 2 * count.
-        terms = coeff * np.where(np.bitwise_count(source & z) & 1, -1.0, 1.0)
-        terms *= amps[source]
-        np.add.reduce(terms, axis=0, initial=0j, out=out[start:stop])
+        odd = (np.bitwise_count(parity) & 1).view(bool)
+        # Each entry is coeff * 1.0 or coeff * -1.0, the product itself (not
+        # coeff or -coeff, whose zeros may differ in sign).
+        coeff = table["coeff"]
+        np.copyto(signed, coeff * 1.0)
+        np.copyto(signed, coeff * -1.0, where=odd)
+        row = 0
+        for _, start, t in units:
+            if start == 0:
+                out = np.empty_like(amps)
+            terms = signed[row : row + t]
+            terms *= amps[source[row : row + t]]
+            np.add.reduce(terms, axis=0, initial=0j, out=out[start : start + width])
+            row += t
+            if start + width == size:
+                amps = out
+        # Hold one batch of tables at a time: the next is taken from ``gates`` first.
+        del units
     result = object.__new__(SpinorState)
-    _freeze(result, state.ctx, out)
+    _freeze(result, ctx, amps)
     return result
+
+
+def apply(g: GateElement, state: SpinorState) -> SpinorState:
+    """Left multiplication of the state by the gate element: ``apply_all`` of one gate."""
+    return apply_all((g,), state)
 
 
 def is_unitary(g: GateElement, tol: float = UNITARY_TOL) -> bool:

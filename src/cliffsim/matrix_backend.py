@@ -14,7 +14,6 @@ import numpy as np
 
 from .circuit import Circuit, GateOp, run_clifford
 from .gates import GATE_SPECS
-from .witt import state_to_amplitudes
 
 MAX_DENSE_QUBITS = 12
 
@@ -114,8 +113,7 @@ class BackendComparison:
 
 def compare_backends(circuit: Circuit, init_bits=None, tol: float = 1e-9) -> BackendComparison:
     """Run both backends and report the L-infinity amplitude deviation."""
-    state = run_clifford(circuit, init_bits)
-    cliff = np.asarray(state_to_amplitudes(state.ctx, state), dtype=complex)
+    cliff = run_clifford(circuit, init_bits).amplitudes
     mat = run_matrix(circuit, init_bits).amplitudes
     dev = float(np.max(np.abs(cliff - mat))) if len(cliff) else 0.0
     return BackendComparison(

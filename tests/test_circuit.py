@@ -17,7 +17,7 @@ from cliffsim.circuit import (
     run_bytes,
     run_clifford,
 )
-from cliffsim.gates import GATE_SPECS
+from cliffsim.gates import GATE_SPECS, GateElement, build_gate
 from cliffsim.matrix_backend import random_circuit, random_unitary_2x2
 from cliffsim.witt import state_to_amplitudes
 
@@ -243,3 +243,34 @@ class TestRunClifford:
         assert {op.name for op in circuit.ops} == set(GATE_SPECS)
         state = run_clifford(circuit)
         assert np.max(np.abs(state.amplitudes - run_matrix(circuit).amplitudes)) < 1e-10
+
+    def test_run_holds_one_batch_of_gate_tables(self, monkeypatch):
+        # Gates are built as the kernel takes them, so the most Pauli tables
+        # alive at once does not grow with the circuit; holding every table
+        # would.  (A tracemalloc peak cannot tell: the interpreter's tuple free
+        # lists keep filling with the tables' tuples over the first ~10^4 gates.)
+        import cliffsim.circuit
+
+        def most_alive(circuit):
+            alive = most = 0
+
+            class Table(tuple):
+                """A Pauli table that counts itself out when it is freed."""
+
+                def __del__(self):
+                    nonlocal alive
+                    alive -= 1
+
+            def counted(*args):
+                nonlocal alive, most
+                g = build_gate(*args)
+                alive += 1
+                most = max(most, alive)
+                return GateElement(g.n, Table(g.paulis))
+
+            monkeypatch.setattr(cliffsim.circuit, "build_gate", counted)
+            run_clifford(circuit)
+            return most
+
+        short, long = (most_alive(random_circuit(np.random.default_rng(d), 4, d)) for d in (2000, 20000))
+        assert long <= 1.2 * short

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cliffsim
 import cliffsim.cli
 import cliffsim.matrix_backend
 from cliffsim.circuit import CircuitError, parse_circuit, run_bytes, run_clifford
@@ -13,6 +18,31 @@ from cliffsim.gates import build_gate
 from cliffsim.witt import WittContext, amplitudes_to_state
 
 BELL = "qubits 2\nh 1\ncnot 1 2\n"
+
+# `cliffsim run ARGS...` in a fresh process; prints its exit code and the rise
+# in peak RSS, in bytes, to stderr.  VmHWM, unlike ru_maxrss, does not carry
+# over the peak of the process that started this one.
+PEAK_GROWTH_OF_RUN = """
+import sys
+from cliffsim.cli import main
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(1024 * int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak()
+code = main(["run", *sys.argv[1:]])
+print(code, peak() - before, file=sys.stderr)
+"""
+
+
+def ladder(n):
+    """An h layer, a cnot ladder and a phase layer on n qubits: every amplitude nonzero."""
+    lines = [f"qubits {n}", *(f"h {w}" for w in range(1, n + 1))]
+    lines += [f"cnot {w} {w + 1}" for w in range(1, n)]
+    lines += [f"phase {w} {0.25 * w!r}" for w in range(1, n + 1)]
+    return "\n".join(lines) + "\n"
+
 
 # Bad gate ops on a 2-qubit register: name, wires, parameter tokens, the
 # column of the offending token in the op's line, and the message.
@@ -165,6 +195,42 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("n,backend", [(13, "clifford"), (12, "both")])
+    def test_json_is_the_payload_dumped_whole(self, tmp_path, capsys, n, backend):
+        # at 13 qubits the lists are written in two blocks
+        path = tmp_path / "ladder.qc"
+        path.write_text(ladder(n))
+        assert main(["run", "--json", "--backend", backend, str(path)]) == 0
+        circuit = parse_circuit(path.read_text())
+        amps = run_clifford(circuit).amplitudes.tolist()
+        payload = {
+            "backend": backend,
+            "amplitudes": [[a.real, a.imag] for a in amps],
+            "probabilities": [abs(a) ** 2 for a in amps],
+            "deviation": cliffsim.matrix_backend.compare_backends(circuit).max_deviation if backend == "both" else None,
+        }
+        assert capsys.readouterr().out == json.dumps(payload) + "\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+    def test_json_run_stays_within_run_bytes(self, tmp_path):
+        # the payload is written a block at a time, not built whole as Python lists and text
+        n = 16
+        path = tmp_path / "ladder.qc"
+        path.write_text(ladder(n))
+        env = {**os.environ, "PYTHONPATH": str(Path(cliffsim.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_GROWTH_OF_RUN, "--json", str(path)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+            check=False,
+        )
+        code, growth = proc.stderr.split()
+        assert code == "0"
+        assert int(growth) <= run_bytes(n)
 
     def test_show_algebra_runs_the_circuit_once(self, bell_file, capsys, monkeypatch):
         calls = []

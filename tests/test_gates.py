@@ -12,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffsim.gates import (
+    _BLOCK,
     GATE_SPECS,
+    GateElement,
+    _batches,
     apply,
+    apply_all,
     build_gate,
     gate_from_u2,
     gate_identity,
@@ -44,6 +48,26 @@ def per_string_apply(g, state):
         source = index ^ x
         out += coeff * np.where(np.bitwise_count(source & z) & 1, -1.0, 1.0) * amps[source]
     return out
+
+
+def chained_per_string_apply(gates, state):
+    """``per_string_apply`` of each gate in turn."""
+    for g in gates:
+        state = amplitudes_to_state(state.ctx, per_string_apply(g, state))
+    return state.amplitudes
+
+
+def random_table(rng, n, size):
+    """A seeded table of ``size`` strings, odd ones with exact coefficients (-0.0 and 0 among them)."""
+    exact = [1, -1, 1j, -1j, 0.5, -0.5j, complex(-0.0, 0.5), 0]
+    return tuple(
+        (
+            int(rng.integers(0, 2**n)),
+            int(rng.integers(0, 2**n)),
+            complex(exact[i % 8]) if i % 2 else complex(rng.normal(), rng.normal()),
+        )
+        for i in range(size)
+    )
 
 
 def random_amplitudes(rng, n):
@@ -103,8 +127,6 @@ class TestSingleQubitGoldenForms:
         assert apply(g, basis_state(ctx1, [1])).value.terms == basis_state(ctx1, [0]).value.terms
 
     def test_xz_product(self, ctx1):
-        from cliffsim.gates import GateElement
-
         xz = build_gate(ctx1, "x", (1,)).value * build_gate(ctx1, "z", (1,)).value
         assert xz.terms == (ctx1.fdag(1) - ctx1.f(1)).terms
         # Z negates |1>, then X flips it: XZ|1> = -|0>
@@ -407,8 +429,6 @@ class TestUnitarity:
         assert is_unitary(build_gate(ctx1, "x", (1,)))
 
     def test_bare_witt_element_is_not(self, ctx1):
-        from cliffsim.gates import GateElement
-
         assert not is_unitary(GateElement.from_blades(ctx1.f(1)))
 
     def test_gate_element_is_immutable(self, ctx1):
@@ -428,7 +448,6 @@ class TestUnitarity:
 
     def test_products_of_unitaries(self, ctx2):
         rng = np.random.default_rng(113)
-        from cliffsim.gates import GateElement
         from cliffsim.matrix_backend import random_circuit
 
         for _ in range(5):
@@ -486,21 +505,38 @@ class TestApplication:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 15, 16])
     @pytest.mark.parametrize("size", [0, 1, 8, 64])
     def test_random_table_matches_per_string_formula(self, n, size):
-        from cliffsim.gates import GateElement
-
         rng = np.random.default_rng(1000 * n + size)
-        exact = [1, -1, 1j, -1j, 0.5, -0.5j, complex(-0.0, 0.5), 0]
-        paulis = tuple(
-            (
-                int(rng.integers(0, 2**n)),
-                int(rng.integers(0, 2**n)),
-                complex(exact[i % 8]) if i % 2 else complex(rng.normal(), rng.normal()),
-            )
-            for i in range(size)
-        )
-        g = GateElement(n, paulis)
+        g = GateElement(n, random_table(rng, n, size))
         s = amplitudes_to_state(WittContext(n), random_amplitudes(rng, n))
         assert apply(g, s).amplitudes.tobytes() == per_string_apply(g, s).tobytes()
+
+    # Tables of 1, 8, 3 and 0 strings.  At n >= 14 the 8-string gate's blocks
+    # are batches of their own, larger than the batch before; at n >= 15 the
+    # second block of the 3-string gate shares a batch with the first block
+    # of the next gate, whose second block starts the batch after.  From n = 4
+    # the sequence repeats until it fills more than one batch; below, a whole
+    # sequence is one batch.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 14, 15, 16])
+    def test_gate_sequence_matches_chained_per_string_formula(self, n):
+        rng = np.random.default_rng(2000 + n)
+        sizes = [1, 8, 3, 0, 1, 8, 3, 1]
+        repeats = 4 * _BLOCK // (2**n * sum(sizes)) + 1 if n >= 4 else 1
+        gates = [GateElement(n, random_table(rng, n, size)) for size in sizes * repeats]
+        if n >= 4:
+            assert len(list(_batches(gates, n, 2**n))) > 1
+        s = amplitudes_to_state(WittContext(n), random_amplitudes(rng, n))
+        assert apply_all(gates, s).amplitudes.tobytes() == chained_per_string_apply(gates, s).tobytes()
+
+    def test_empty_gate_sequence_returns_the_input(self, ctx2):
+        s = amplitudes_to_state(ctx2, [0.5, 0.5j, -0.5, complex(-0.0, 0.5)])
+        assert apply_all(iter(()), s).amplitudes.tobytes() == s.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_gate_of_another_register_in_a_sequence(self, ctx2, k):
+        gates = [build_gate(ctx2, "h", (1,))] * 4
+        gates[k] = build_gate(WittContext(3), "h", (1,))
+        with pytest.raises(ValueError, match=f"gate {k} acts on 3 qubits, state has 2"):
+            apply_all(gates, basis_state(ctx2, [0, 0]))
 
     @pytest.mark.parametrize("name", sorted(GATE_SPECS))
     def test_registry_gate_on_highest_wires_matches_per_string_formula(self, name):
@@ -516,7 +552,6 @@ class TestApplication:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 13, 16])
     def test_blade_action_matches_blade_product(self, n):
         # the signed-permutation kernel against left multiplication in the algebra
-        from cliffsim.gates import GateElement
 
         ctx = WittContext(n)
         if n <= 3:
@@ -580,7 +615,6 @@ class TestApplication:
 class TestBladeForm:
     def test_display_form_agrees_with_run_form(self):
         # the blade form, turned back into Pauli strings, is the table that apply reads
-        from cliffsim.gates import GateElement
 
         rng = np.random.default_rng(157)
         for n in (1, 2, 3, 4):
@@ -596,7 +630,6 @@ class TestBladeForm:
                         assert np.array_equal(apply(back, state).amplitudes, apply(g, state).amplitudes), (name, wires)
 
     def test_from_blades_needs_a_qubit_algebra(self):
-        from cliffsim.gates import GateElement
 
         with pytest.raises(ValueError):
             GateElement.from_blades(Multivector(3, {1: 1.0}))
