@@ -19,15 +19,19 @@ Each registry gate in ``GATE_SPECS`` is data: a sum of words, each word
 giving one wire's coordinates on (f_k f_k^dagger, f_k, f_k^dagger,
 f_k^dagger f_k), or None for the identity, per gate wire, e.g.
 CNOT = f_1 f_1^dagger + f_1^dagger f_1 (f_2 + f_2^dagger).  A word is the
-tensor product of its wire operators, expanded into Pauli strings.
-``gate_words`` is the one validator of a gate op (name, wires, parameters on
-an n-qubit register): the circuit parser, ``build_gate`` and ``gate-dump``
-all check an op through it.  ``build_gate`` is the one builder of a named gate.
+tensor product of its wire operators, expanded into Pauli strings by
+``_pauli_table``; the table depends on the wires only through their order.
+``build_gate``, the one builder of a named gate, scatters the table of that
+order on k wires (``_ORDER_TABLES``, for a parameterless gate): relative index
+bit k - j moves to bit n - sorted(wires)_j.  ``gate_words``, the one validator
+of a gate op, is called by the circuit parser, and by ``build_gate`` (so by
+``gate-dump``) when the table lookup or the wire range check misses.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -331,15 +335,25 @@ def _one_wire(coords: Coordinates) -> Words:
     return ((coords,),)
 
 
+def _phase(phi: float) -> Words:
+    return _one_wire((1, 0, 0, cmath.exp(1j * phi)))
+
+
+def _controlled(u: Words) -> Words:
+    """P0 (x) 1 + P1 (x) U, with the control on the first wire."""
+    return ((P0,) + (None,) * len(u[0]),) + tuple((P1,) + word for word in u)
+
+
 X = _one_wire((0, 1, 1, 0))
 Y = _one_wire((0, -1j, 1j, 0))
 Z = _one_wire((1, 0, 0, -1))
 H = _one_wire((_R, _R, _R, -_R))
 SWAP = ((P0, P0), (P1, P1), (FDAG, F), (F, FDAG))
-
-
-def _phase(phi: float) -> Words:
-    return _one_wire((1, 0, 0, cmath.exp(1j * phi)))
+S = _phase(math.pi / 2.0)
+CNOT = _controlled(X)
+CZ = _controlled(Z)
+CCNOT = _controlled(CNOT)
+CSWAP = _controlled(SWAP)
 
 
 def _u2(*params: float) -> Words:
@@ -358,11 +372,6 @@ def _u2(*params: float) -> Words:
     return _one_wire((a, b, c, d))
 
 
-def _controlled(u: Words) -> Words:
-    """P0 (x) 1 + P1 (x) U, with the control on the first wire."""
-    return ((P0,) + (None,) * len(u[0]),) + tuple((P1,) + word for word in u)
-
-
 @dataclass(frozen=True)
 class GateSpec:
     """Arity, parameter count and Witt words of a named gate."""
@@ -377,15 +386,25 @@ GATE_SPECS: dict[str, GateSpec] = {
     "y": GateSpec(1, 0, lambda: Y),
     "z": GateSpec(1, 0, lambda: Z),
     "h": GateSpec(1, 0, lambda: H),
-    "s": GateSpec(1, 0, lambda: _phase(math.pi / 2.0)),
+    "s": GateSpec(1, 0, lambda: S),
     "phase": GateSpec(1, 1, _phase),
     "u2": GateSpec(1, 8, _u2),
-    "cnot": GateSpec(2, 0, lambda: _controlled(X)),
-    "cz": GateSpec(2, 0, lambda: _controlled(Z)),
+    "cnot": GateSpec(2, 0, lambda: CNOT),
+    "cz": GateSpec(2, 0, lambda: CZ),
     "swap": GateSpec(2, 0, lambda: SWAP),
-    "ccnot": GateSpec(3, 0, lambda: _controlled(_controlled(X))),
-    "cswap": GateSpec(3, 0, lambda: _controlled(SWAP)),
+    "ccnot": GateSpec(3, 0, lambda: CCNOT),
+    "cswap": GateSpec(3, 0, lambda: CSWAP),
 }
+
+# (name, order) -> the table of a parameterless gate on its own k wires, with
+# order[j] the rank of gate wire j among the sorted wires: data, not a cache.
+_ORDER_TABLES: dict[tuple[str, tuple[int, ...]], tuple[PauliTerm, ...]] = {
+    (name, order): _pauli_table(spec.wires, [r + 1 for r in order], spec.words())
+    for name, spec in GATE_SPECS.items()
+    if not spec.params
+    for order in itertools.permutations(range(spec.wires))
+}
+_MAX_ARITY = max(spec.wires for spec in GATE_SPECS.values())
 
 
 class GateOpError(ValueError):
@@ -430,8 +449,19 @@ def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float])
 
 
 def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
-    """The registry gate ``name`` on ``wires``: the sum of its words' super tensor products."""
-    return GateElement(ctx.n, _pauli_table(ctx.n, wires, gate_words(name, ctx.n, wires, params)))
+    """The registry gate ``name`` on ``wires``: the table of their order, scattered to them, rows and coefficients kept.
+
+    A repeated wire makes the ranks no permutation, so no key; a hit with wires in 1..n passed every check.
+    """
+    n, s = ctx.n, sorted(wires)
+    order = tuple(map(s.index, wires)) if len(s) <= _MAX_ARITY else ()  # s.index ranks in O(k^2)
+    table = _ORDER_TABLES.get((name, order)) if len(params) == 0 else None
+    if table is None or not 1 <= s[0] <= s[-1] <= n:
+        table = _pauli_table(len(s), [r + 1 for r in order], gate_words(name, n, wires, params))
+    spread = [0]  # relative index mask -> index mask on the register
+    for w in reversed(s):
+        spread += [m | 1 << (n - w) for m in spread]
+    return GateElement(n, tuple((spread[x], spread[z], coeff) for x, z, coeff in table))
 
 
 def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:

@@ -11,16 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffsim.circuit import Circuit, GateOp, run_clifford
 from cliffsim.gates import (
     _BLOCK,
     GATE_SPECS,
     GateElement,
+    GateOpError,
     _batches,
+    _pauli_table,
     apply,
     apply_all,
     build_gate,
     gate_from_u2,
     gate_identity,
+    gate_words,
     is_unitary,
     ketbra,
     measure_probabilities,
@@ -681,3 +685,63 @@ class TestRegistry:
             "x", "y", "z", "h", "s", "phase", "u2",
             "cnot", "cz", "swap", "ccnot", "cswap",
         }
+
+
+def exact_rows(paulis):
+    """A table's rows with both coefficient parts as ``float.hex``, so that equal means bit-identical."""
+    return [(x, z, coeff.real.hex(), coeff.imag.hex()) for x, z, coeff in paulis]
+
+
+class TestOrderTables:
+    """``build_gate`` scatters import-time tables; ``_pauli_table`` on the register's own wires is the reference."""
+
+    @pytest.mark.parametrize("n,top", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (32, 5)])
+    def test_scatter_equals_expansion_on_every_wire_order(self, n, top):
+        # every ordered tuple of distinct wires among the top ``top`` wires of the register
+        ctx = WittContext(n)
+        for name, spec in GATE_SPECS.items():
+            params = random_params(np.random.default_rng(0), spec)  # one fixed angle and unitary
+            for wires in itertools.permutations(range(n - top + 1, n + 1), spec.wires):
+                reference = _pauli_table(n, wires, gate_words(name, n, wires, params))
+                assert exact_rows(build_gate(ctx, name, wires, params).paulis) == exact_rows(reference), (name, wires)
+
+
+BAD_GATE_OPS = [
+    ("cnot", (1, 1), ()),
+    ("cnot", (4, 4), ()),
+    ("x", (0,), ()),
+    ("cnot", (0, 2), ()),
+    ("x", (4,), ()),
+    ("swap", (3, 4), ()),
+    ("ccnot", (2, 4, 1), ()),
+    ("h", (1,), (0.5,)),
+    ("s", (1,), (math.pi,)),
+    ("cnot", (1,), ()),
+    ("x", (1, 2), ()),
+    ("cswap", (1, 2), ()),
+    ("x", (), ()),
+    ("nope", (1,), ()),
+    ("phase", (1,), (math.nan,)),
+    ("phase", (2,), (math.inf,)),
+    ("phase", (1,), ()),
+    ("u2", (1,), (2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)),
+    ("cnot", tuple(range(1, 10**5)), ()),  # refused at once, not after ranking every wire
+]
+
+
+class TestOpRefusal:
+    """A bad op is refused by ``build_gate`` and ``run_clifford`` exactly as ``gate_words`` refuses it."""
+
+    @pytest.mark.parametrize("name,wires,params", BAD_GATE_OPS)
+    def test_same_error_as_gate_words(self, name, wires, params):
+        n = 3
+        with pytest.raises(GateOpError) as expected:
+            gate_words(name, n, wires, params)
+        with pytest.raises(GateOpError) as got:
+            build_gate(WittContext(n), name, wires, params)
+        assert (str(got.value), got.value.index) == (str(expected.value), expected.value.index)
+        # a hand-built circuit is not parsed: its run meets the op only in build_gate
+        circuit = Circuit(n, (GateOp("h", (1,)), GateOp(name, wires, params), GateOp("x", (2,))))
+        with pytest.raises(GateOpError) as got:
+            run_clifford(circuit)
+        assert (str(got.value), got.value.index) == (str(expected.value), expected.value.index)
