@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .gates import GateOpError, apply_all, build_gate, gate_spec, gate_words
+from .gates import GateOpError, _order_table, apply_all, build_gate, gate_spec, gate_words
 from .witt import MAX_QUBITS, SpinorState, WittContext, basis_state
 
 
@@ -80,16 +80,22 @@ def _lex(word: str, index: int, wire: bool) -> int | float:
 def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = MAX_QUBITS) -> Circuit:
     """Parse and validate a circuit file.
 
-    A register of more than ``max_qubits`` wires, or, with ``memory_bytes``,
-    one whose ``run_bytes`` exceeds it, is refused at its header.
+    A line is split into words with ``str.split``; ``_tokens`` finds the
+    columns only for the header and for an error.  A parameterless op is
+    checked by its ``_order_table`` lookup, and ``gate_words`` runs only on a
+    miss (``phase``, ``u2`` or a bad op), so a bad op keeps its message and
+    column.  A register of more than ``max_qubits`` wires, or, with
+    ``memory_bytes``, one whose ``run_bytes`` exceeds it, is refused at its
+    header.
     """
     n_qubits: int | None = None
     ops: list[GateOp] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
-        if not toks:
+        words = raw.split("#", 1)[0].split()
+        if not words:
             continue
         if n_qubits is None:
+            toks = _tokens(raw)
             if toks[0][0].lower() != "qubits":
                 raise CircuitError("expected 'qubits N' header", lineno, toks[0][1])
             if len(toks) != 2:
@@ -108,14 +114,15 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
                     col,
                 )
             continue
-        name = toks[0][0].lower()
+        name = words[0].lower()
         try:
             split = gate_spec(name).wires
-            args = [_lex(word, i, i <= split) for i, (word, _) in enumerate(toks[1:], start=1)]
+            args = [_lex(word, i, i <= split) for i, word in enumerate(words[1:], start=1)]
             wires, params = tuple(args[:split]), tuple(args[split:])
-            gate_words(name, n_qubits, wires, params)
+            if _order_table(name, n_qubits, wires, params) is None:
+                gate_words(name, n_qubits, wires, params)
         except GateOpError as exc:
-            raise CircuitError(str(exc), lineno, toks[exc.index][1]) from None
+            raise CircuitError(str(exc), lineno, _tokens(raw)[exc.index][1]) from None
         ops.append(GateOp(name, wires, params))
     if n_qubits is None:
         raise CircuitError("empty circuit file, expected 'qubits N' header", 1)

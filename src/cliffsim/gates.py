@@ -23,9 +23,10 @@ tensor product of its wire operators, expanded into Pauli strings by
 ``_pauli_table``; the table depends on the wires only through their order.
 ``build_gate``, the one builder of a named gate, scatters the table of that
 order on k wires (``_ORDER_TABLES``, for a parameterless gate): relative index
-bit k - j moves to bit n - sorted(wires)_j.  ``gate_words``, the one validator
-of a gate op, is called by the circuit parser, and by ``build_gate`` (so by
-``gate-dump``) when the table lookup or the wire range check misses.
+bit k - j moves to bit n - sorted(wires)_j.  ``_order_table`` is that lookup
+plus the wire range, and a hit has passed every check of ``gate_words``, the
+one validator of a gate op.  The circuit parser and ``build_gate`` (so
+``gate-dump``) call ``gate_words`` only on a miss: ``phase``, ``u2`` or a bad op.
 """
 
 from __future__ import annotations
@@ -448,18 +449,29 @@ def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float])
         raise GateOpError(str(exc), first) from None
 
 
+def _order_table(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> tuple[PauliTerm, ...] | None:
+    """The table of parameterless gate ``name`` in the order of ``wires``, if they lie in 1..n; else None.
+
+    A hit has passed every check of ``gate_words``: a repeated wire makes the ranks no permutation, so no key.
+    """
+    if len(params) or not 1 <= len(wires) <= _MAX_ARITY:
+        return None
+    s = sorted(wires)
+    return _ORDER_TABLES.get((name, tuple(map(s.index, wires)))) if 1 <= s[0] <= s[-1] <= n else None
+
+
 def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
     """The registry gate ``name`` on ``wires``: the table of their order, scattered to them, rows and coefficients kept.
 
-    A repeated wire makes the ranks no permutation, so no key; a hit with wires in 1..n passed every check.
+    On a miss of ``_order_table`` (``phase``, ``u2`` or a bad op) the op goes
+    through ``gate_words`` and its table is expanded on the register.
     """
-    n, s = ctx.n, sorted(wires)
-    order = tuple(map(s.index, wires)) if len(s) <= _MAX_ARITY else ()  # s.index ranks in O(k^2)
-    table = _ORDER_TABLES.get((name, order)) if len(params) == 0 else None
-    if table is None or not 1 <= s[0] <= s[-1] <= n:
-        table = _pauli_table(len(s), [r + 1 for r in order], gate_words(name, n, wires, params))
+    n = ctx.n
+    table = _order_table(name, n, wires, params)
+    if table is None:
+        return GateElement(n, _pauli_table(n, wires, gate_words(name, n, wires, params)))
     spread = [0]  # relative index mask -> index mask on the register
-    for w in reversed(s):
+    for w in sorted(wires, reverse=True):
         spread += [m | 1 << (n - w) for m in spread]
     return GateElement(n, tuple((spread[x], spread[z], coeff) for x, z, coeff in table))
 

@@ -27,34 +27,20 @@ MAX_QUBITS = 32
 
 
 class WittContext:
-    """Witt elements and wire idempotents for an n-qubit register."""
+    """Witt elements and wire idempotents for an n-qubit register, each formed when asked for."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"qubit count {n} out of range 1..{MAX_QUBITS}")
         self.n = n
         self.signature = Signature(2 * n)
-        sig = self.signature
-        self._f = []
-        self._fdag = []
-        self._proj0 = []
-        self._proj1 = []
-        for j in range(1, n + 1):
-            ej = 1 << (j - 1)
-            ejn = 1 << (j + n - 1)
-            self._f.append(Multivector(sig, {ej: 0.5, ejn: -0.5j}))
-            self._fdag.append(Multivector(sig, {ej: 0.5, ejn: 0.5j}))
-            # f f^dagger = (1 + i e_j e_{j+n}) / 2 and f^dagger f = (1 - i e_j e_{j+n}) / 2,
-            # with the +0.0 real parts that the products f * fd and fd * f give.
-            self._proj0.append(Multivector(sig, {0: 0.5, ej | ejn: complex(0.0, 0.5)}))
-            self._proj1.append(Multivector(sig, {0: 0.5, ej | ejn: complex(0.0, -0.5)}))
 
     @property
     def idempotent(self) -> Multivector:
         """Primitive idempotent I = f_1 f_1^dagger ... f_n f_n^dagger (2^n blade terms)."""
         idem = self.one()
-        for p in self._proj0:
-            idem = idem * p
+        for j in range(1, self.n + 1):
+            idem = idem * self.proj0(j)
         return idem
 
     def _check_wire(self, j: int) -> None:
@@ -63,21 +49,23 @@ class WittContext:
 
     def f(self, j: int) -> Multivector:
         self._check_wire(j)
-        return self._f[j - 1]
+        return Multivector(self.signature, {1 << (j - 1): 0.5, 1 << (j + self.n - 1): -0.5j})
 
     def fdag(self, j: int) -> Multivector:
         self._check_wire(j)
-        return self._fdag[j - 1]
+        return Multivector(self.signature, {1 << (j - 1): 0.5, 1 << (j + self.n - 1): 0.5j})
 
+    # f f^dagger = (1 + i e_j e_{j+n}) / 2 and f^dagger f = (1 - i e_j e_{j+n}) / 2,
+    # with the +0.0 real parts that the products f * fd and fd * f give.
     def proj0(self, j: int) -> Multivector:
         """Wire idempotent f_j f_j^dagger (projects onto bit 0)."""
         self._check_wire(j)
-        return self._proj0[j - 1]
+        return Multivector(self.signature, {0: 0.5, 1 << (j - 1) | 1 << (j + self.n - 1): complex(0.0, 0.5)})
 
     def proj1(self, j: int) -> Multivector:
         """Wire idempotent f_j^dagger f_j (projects onto bit 1)."""
         self._check_wire(j)
-        return self._proj1[j - 1]
+        return Multivector(self.signature, {0: 0.5, 1 << (j - 1) | 1 << (j + self.n - 1): complex(0.0, -0.5)})
 
     def one(self) -> Multivector:
         return Multivector.scalar(self.signature, 1.0)

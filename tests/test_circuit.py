@@ -1,6 +1,7 @@
 """Circuit file parsing, validation diagnostics, round-tripping."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cliffsim.circuit import (
     Circuit,
     CircuitError,
     GateOp,
+    _tokens,
     parse_bits,
     parse_circuit,
     render_circuit,
@@ -158,6 +160,66 @@ class TestDiagnostics:
         with pytest.raises(CircuitError) as exc:
             parse_circuit("qubits 2\ncnot 1 9\n")
         assert exc.value.column == 8
+
+
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+# Bad op lines behind each separator, with their exact refusal.  Vertical
+# tab, \x1c and \x85 also end a line (``str.splitlines``), so the op loses its
+# wires there.
+SEPARATED_BAD_LINES = [
+    ("cnot{s}1{s}1", "\t", "line 3, column 8: gate 'cnot' requires distinct wires, got (1, 1)"),
+    ("cnot{s}1{s}1", "\xa0", "line 3, column 8: gate 'cnot' requires distinct wires, got (1, 1)"),
+    ("cnot{s}1{s}1", "\u3000", "line 3, column 8: gate 'cnot' requires distinct wires, got (1, 1)"),
+    ("cnot{s}1{s}1", "\x0b", "line 3, column 1: gate 'cnot' takes 2 wire(s) and 0 parameter(s), got 0 and 0"),
+    ("{s}x{s}{s}4", "\t", "line 3, column 5: wire 4 out of range 1..3"),
+    ("{s}x{s}{s}4", "\xa0", "line 3, column 5: wire 4 out of range 1..3"),
+    ("{s}x{s}{s}4", "\u3000", "line 3, column 5: wire 4 out of range 1..3"),
+    ("{s}x{s}{s}4", "\x1c", "line 4, column 1: gate 'x' takes 1 wire(s) and 0 parameter(s), got 0 and 0"),
+    ("nope{s}1", "\t", "line 3, column 1: unknown gate 'nope'"),
+    ("nope{s}1", "\x85", "line 3, column 1: unknown gate 'nope'"),
+    ("nope{s}1", "\u3000", "line 3, column 1: unknown gate 'nope'"),
+    ("phase{s}1{s}nan", "\t", "line 3, column 9: non-finite parameter nan"),
+    ("phase{s}1{s}nan", "\xa0", "line 3, column 9: non-finite parameter nan"),
+    ("phase{s}1{s}nan", "\u3000", "line 3, column 9: non-finite parameter nan"),
+    ("phase{s}1{s}nan", "\x85", "line 3, column 1: gate 'phase' takes 1 wire(s) and 1 parameter(s), got 0 and 0"),
+    ("h{s}1{s}0.5", "\t", "line 3, column 1: gate 'h' takes 1 wire(s) and 0 parameter(s), got 1 and 1"),
+    ("h{s}1{s}0.5", "\xa0", "line 3, column 1: gate 'h' takes 1 wire(s) and 0 parameter(s), got 1 and 1"),
+    ("h{s}1{s}0.5", "\x0b", "line 3, column 1: gate 'h' takes 1 wire(s) and 0 parameter(s), got 0 and 0"),
+    ("x{s}1.5", "\t", "line 3, column 3: invalid wire '1.5'"),
+    ("x{s}1.5", "\u3000", "line 3, column 3: invalid wire '1.5'"),
+    ("x{s}1.5", "\x1c", "line 3, column 1: gate 'x' takes 1 wire(s) and 0 parameter(s), got 0 and 0"),
+    ("cz{s}2{s}0", "\t", "line 3, column 6: wire 0 out of range 1..3"),
+    ("cz{s}2{s}0", "\xa0", "line 3, column 6: wire 0 out of range 1..3"),
+    ("cz{s}2{s}0", "\u3000", "line 3, column 6: wire 0 out of range 1..3"),
+]
+
+
+class TestTokenizer:
+    """The parser splits lines with ``str.split``; ``_tokens`` gives the columns of the header and of an error."""
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda c: f"U+{ord(c):04X}")
+    def test_words_match_str_split(self, space):
+        line = space.join(["", "cnot", "1", "", "2", "# a", "comment", ""])
+        assert [word for word, _ in _tokens(line)] == line.split("#", 1)[0].split() == ["cnot", "1", "2"]
+
+    def test_every_code_point_splits_alike(self):
+        # each code point but '#' between two letters: only the str.isspace ones separate words
+        line = "a" + "a".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c) != "#") + "a"
+        words = [word for word, _ in _tokens(line)]
+        assert words == line.split() and len(words) == len(SPACES) + 1
+
+    @pytest.mark.parametrize("template,space,message", SEPARATED_BAD_LINES)
+    def test_bad_line_message(self, template, space, message):
+        with pytest.raises(CircuitError) as exc:
+            parse_circuit("qubits 3\nh 1\n" + template.format(s=space) + "  # note\n")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("space", ["\t", "\xa0", "\u3000", "\u2003"])
+    def test_separated_ops_parse(self, space):
+        text = f"qubits{space}3\n{space}cnot{space}3{space}1{space}#{space}c\nphase{space}2{space}0.5\n"
+        circuit = parse_circuit(text)
+        assert circuit == Circuit(3, (GateOp("cnot", (3, 1)), GateOp("phase", (2,), (0.5,))))
 
 
 class TestRoundTrip:

@@ -18,6 +18,7 @@ from cliffsim.gates import (
     GateElement,
     GateOpError,
     _batches,
+    _order_table,
     _pauli_table,
     apply,
     apply_all,
@@ -704,6 +705,36 @@ class TestOrderTables:
             for wires in itertools.permutations(range(n - top + 1, n + 1), spec.wires):
                 reference = _pauli_table(n, wires, gate_words(name, n, wires, params))
                 assert exact_rows(build_gate(ctx, name, wires, params).paulis) == exact_rows(reference), (name, wires)
+
+
+class TestLookupParity:
+    """A hit of ``_order_table`` is an op that ``gate_words`` accepts, with its table; every valid parameterless op hits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lookup_implies_gate_words(self, n):
+        ctx = WittContext(n)
+        rng = np.random.default_rng(n)
+        hits = 0
+        for name in [*GATE_SPECS, "nope"]:
+            spec = GATE_SPECS.get(name)
+            for params in [(), random_params(rng, spec) if spec and spec.params else (0.5,)]:
+                for k in range(5):
+                    # wires -1..n+1, repeats included
+                    for wires in itertools.product(range(-1, n + 2), repeat=k):
+                        table = _order_table(name, n, wires, params)
+                        try:
+                            words = gate_words(name, n, wires, params)
+                        except GateOpError:
+                            assert table is None, (name, wires, params)
+                            continue
+                        if table is None:
+                            assert params, (name, wires)  # a valid parameterless op must hit
+                            continue
+                        hits += 1
+                        reference = _pauli_table(n, wires, words)
+                        assert exact_rows(build_gate(ctx, name, wires, params).paulis) == exact_rows(reference)
+        # each parameterless gate on every ordered tuple of distinct wires
+        assert hits == sum(math.perm(n, s.wires) for s in GATE_SPECS.values() if not s.params)
 
 
 BAD_GATE_OPS = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cliffsim.circuit import Circuit, GateOp, parse_circuit, run_clifford
-from cliffsim.gates import GATE_SPECS
+from cliffsim.gates import GATE_SPECS, apply_all, build_gate
 from cliffsim.matrix_backend import (
     compare_backends,
     gate_matrix,
@@ -15,6 +15,7 @@ from cliffsim.matrix_backend import (
     run_fuzz,
     run_matrix,
 )
+from cliffsim.witt import SpinorState, WittContext, basis_state
 
 
 class TestGateMatrices:
@@ -155,3 +156,22 @@ class TestEmbeddedOracle:
         expected = np.zeros(2**n, dtype=complex)
         expected[index] = run_matrix(small, [int(bits[w - 1]) for w in wires]).amplitudes
         assert np.max(np.abs(got - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_three_way_agreement(seed):
+    # the table kernel, the blade product in the algebra and the dense oracle, gate by gate
+    rng = np.random.default_rng(7100 + seed)
+    n = int(rng.integers(1, 5))
+    circuit = random_circuit(rng, n, int(rng.integers(1, 13)))
+    ctx = WittContext(n)
+    state = basis_state(ctx, (0,) * n)
+    blade = state.value
+    for k, op in enumerate(circuit.ops, start=1):
+        g = build_gate(ctx, op.name, op.wires, op.params)
+        state = apply_all((g,), state)
+        blade = g.value * blade
+        oracle = run_matrix(Circuit(n, circuit.ops[:k])).amplitudes
+        from_blades = SpinorState(ctx, blade).amplitudes
+        assert np.max(np.abs(state.amplitudes - oracle)) <= 1e-12, (seed, k)
+        assert np.max(np.abs(from_blades - oracle)) <= 1e-12, (seed, k)

@@ -52,6 +52,27 @@ class TestContextConstruction:
             ctx.proj0(0)
 
 
+def exact_terms(mv):
+    """Terms with both coefficient parts as ``float.hex``, in term order, so that equal means bit-identical."""
+    return [(mask, c.real.hex(), c.imag.hex()) for mask, c in mv.terms.items()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_elements_from_their_formula(n):
+    # the two-term closed forms against the products and the conjugation they stand for
+    ctx = WittContext(n)
+    for j in range(1, n + 1):
+        f, fdag = ctx.f(j), ctx.fdag(j)
+        assert exact_terms(ctx.proj0(j)) == exact_terms(f * fdag)
+        assert exact_terms(ctx.proj1(j)) == exact_terms(fdag * f)
+        # equal values: dagger() leaves a -0.0 real part on e_{j+n}, the formula a +0.0
+        assert fdag.terms == f.dagger().terms and list(fdag.terms) == list(f.dagger().terms)
+    for j in (0, n + 1):
+        for element in (ctx.f, ctx.fdag, ctx.proj0, ctx.proj1):
+            with pytest.raises(ValueError, match="out of range"):
+                element(j)
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.data())
 def test_witt_relations_up_to_32_wires(data):
