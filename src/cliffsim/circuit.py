@@ -12,10 +12,9 @@ are ignored.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .gates import GateOpError, _order_table, apply_all, build_gate, gate_spec, gate_words
+from .gates import GateOpError, apply_all, build_gate, check_op, gate_spec
 from .witt import MAX_QUBITS, SpinorState, WittContext, basis_state
 
 
@@ -41,9 +40,6 @@ class CircuitError(ValueError):
         self.column = column
 
 
-_TOKEN = re.compile(r"\S+")
-
-
 def run_bytes(n_qubits: int) -> int:
     """Estimated peak memory of `run_clifford`, and of `cliffsim run`, on an n-qubit register.
 
@@ -61,8 +57,14 @@ def run_bytes(n_qubits: int) -> int:
 
 
 def _tokens(text_line: str) -> list[tuple[str, int]]:
+    """The words of a line before any ``#``, as ``str.split`` gives them, with their 1-based columns."""
     code = text_line.split("#", 1)[0]
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
+    toks, pos = [], 0
+    for word in code.split():
+        pos = code.index(word, pos)
+        toks.append((word, pos + 1))
+        pos += len(word)
+    return toks
 
 
 def _lex(word: str, index: int, wire: bool) -> int | float:
@@ -80,13 +82,11 @@ def _lex(word: str, index: int, wire: bool) -> int | float:
 def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = MAX_QUBITS) -> Circuit:
     """Parse and validate a circuit file.
 
-    A line is split into words with ``str.split``; ``_tokens`` finds the
-    columns only for the header and for an error.  A parameterless op is
-    checked by its ``_order_table`` lookup, and ``gate_words`` runs only on a
-    miss (``phase``, ``u2`` or a bad op), so a bad op keeps its message and
-    column.  A register of more than ``max_qubits`` wires, or, with
-    ``memory_bytes``, one whose ``run_bytes`` exceeds it, is refused at its
-    header.
+    Lines are split into words with ``str.split``; ``_tokens`` finds columns
+    only for the header and for an error.  Each op goes through ``check_op``,
+    so a bad op keeps the message and column of ``gate_words``.  A register
+    of more than ``max_qubits`` wires, or, with ``memory_bytes``, one whose
+    ``run_bytes`` exceeds it, is refused at its header.
     """
     n_qubits: int | None = None
     ops: list[GateOp] = []
@@ -119,8 +119,7 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
             split = gate_spec(name).wires
             args = [_lex(word, i, i <= split) for i, word in enumerate(words[1:], start=1)]
             wires, params = tuple(args[:split]), tuple(args[split:])
-            if _order_table(name, n_qubits, wires, params) is None:
-                gate_words(name, n_qubits, wires, params)
+            check_op(name, n_qubits, wires, params)
         except GateOpError as exc:
             raise CircuitError(str(exc), lineno, _tokens(raw)[exc.index][1]) from None
         ops.append(GateOp(name, wires, params))

@@ -23,10 +23,10 @@ tensor product of its wire operators, expanded into Pauli strings by
 ``_pauli_table``; the table depends on the wires only through their order.
 ``build_gate``, the one builder of a named gate, scatters the table of that
 order on k wires (``_ORDER_TABLES``, for a parameterless gate): relative index
-bit k - j moves to bit n - sorted(wires)_j.  ``_order_table`` is that lookup
-plus the wire range, and a hit has passed every check of ``gate_words``, the
-one validator of a gate op.  The circuit parser and ``build_gate`` (so
-``gate-dump``) call ``gate_words`` only on a miss: ``phase``, ``u2`` or a bad op.
+bit k - j moves to bit n - sorted(wires)_j.  A hit of ``_order_table``, that
+lookup plus the wire range, passed every check of ``gate_words``, the one
+validator of a gate op, which ``check_op`` (the parser's check) and
+``build_gate`` (so ``gate-dump``) call only on a miss: ``phase``, ``u2`` or a bad op.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ __all__ = [
     "apply",
     "apply_all",
     "build_gate",
+    "check_op",
     "gate_from_u2",
     "gate_identity",
     "gate_spec",
@@ -450,21 +451,23 @@ def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float])
 
 
 def _order_table(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> tuple[PauliTerm, ...] | None:
-    """The table of parameterless gate ``name`` in the order of ``wires``, if they lie in 1..n; else None.
-
-    A hit has passed every check of ``gate_words``: a repeated wire makes the ranks no permutation, so no key.
-    """
+    """The table of parameterless ``name`` in the order of ``wires`` in 1..n (a repeated wire has no key), or None."""
     if len(params) or not 1 <= len(wires) <= _MAX_ARITY:
         return None
     s = sorted(wires)
     return _ORDER_TABLES.get((name, tuple(map(s.index, wires)))) if 1 <= s[0] <= s[-1] <= n else None
 
 
+def check_op(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> None:
+    """GateOpError unless ``name`` on ``wires`` is a valid op; ``gate_words`` runs only on an ``_order_table`` miss."""
+    if _order_table(name, n, wires, params) is None:
+        gate_words(name, n, wires, params)
+
+
 def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
     """The registry gate ``name`` on ``wires``: the table of their order, scattered to them, rows and coefficients kept.
 
-    On a miss of ``_order_table`` (``phase``, ``u2`` or a bad op) the op goes
-    through ``gate_words`` and its table is expanded on the register.
+    On an ``_order_table`` miss (``phase``, ``u2`` or a bad op) its ``gate_words`` are expanded on the register.
     """
     n = ctx.n
     table = _order_table(name, n, wires, params)

@@ -129,9 +129,9 @@ def _blade_form(ctx: WittContext, amplitudes: np.ndarray, j: int = 1) -> Multive
         return Multivector.scalar(ctx.signature, amplitudes[0])
     half = len(amplitudes) // 2
     out = Multivector.zero(ctx.signature)
-    for factor, part in ((ctx.proj0(j), amplitudes[:half]), (ctx.fdag(j), amplitudes[half:])):
+    for factor, part in ((ctx.proj0, amplitudes[:half]), (ctx.fdag, amplitudes[half:])):
         if part.any():
-            out = out + factor * _blade_form(ctx, part, j + 1)
+            out = out + factor(j) * _blade_form(ctx, part, j + 1)
     return out
 
 

@@ -23,6 +23,7 @@ from cliffsim.gates import (
     apply,
     apply_all,
     build_gate,
+    check_op,
     gate_from_u2,
     gate_identity,
     gate_words,
@@ -708,7 +709,10 @@ class TestOrderTables:
 
 
 class TestLookupParity:
-    """A hit of ``_order_table`` is an op that ``gate_words`` accepts, with its table; every valid parameterless op hits."""
+    """A hit of ``_order_table`` is an op that ``gate_words`` accepts, with its table; every valid parameterless op hits.
+
+    ``check_op`` accepts what ``gate_words`` accepts and refuses the rest with its message and index.
+    """
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_lookup_implies_gate_words(self, n):
@@ -724,9 +728,13 @@ class TestLookupParity:
                         table = _order_table(name, n, wires, params)
                         try:
                             words = gate_words(name, n, wires, params)
-                        except GateOpError:
+                        except GateOpError as exc:
                             assert table is None, (name, wires, params)
+                            with pytest.raises(GateOpError) as got:
+                                check_op(name, n, wires, params)
+                            assert (str(got.value), got.value.index) == (str(exc), exc.index)
                             continue
+                        check_op(name, n, wires, params)  # accepts it
                         if table is None:
                             assert params, (name, wires)  # a valid parameterless op must hit
                             continue
@@ -761,13 +769,16 @@ BAD_GATE_OPS = [
 
 
 class TestOpRefusal:
-    """A bad op is refused by ``build_gate`` and ``run_clifford`` exactly as ``gate_words`` refuses it."""
+    """A bad op is refused by ``check_op``, ``build_gate`` and ``run_clifford`` exactly as ``gate_words`` refuses it."""
 
     @pytest.mark.parametrize("name,wires,params", BAD_GATE_OPS)
     def test_same_error_as_gate_words(self, name, wires, params):
         n = 3
         with pytest.raises(GateOpError) as expected:
             gate_words(name, n, wires, params)
+        with pytest.raises(GateOpError) as got:
+            check_op(name, n, wires, params)
+        assert (str(got.value), got.value.index) == (str(expected.value), expected.value.index)
         with pytest.raises(GateOpError) as got:
             build_gate(WittContext(n), name, wires, params)
         assert (str(got.value), got.value.index) == (str(expected.value), expected.value.index)
