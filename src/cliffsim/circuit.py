@@ -80,17 +80,23 @@ def _lex(word: str, index: int, wire: bool) -> int | float:
 
 
 def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = MAX_QUBITS) -> Circuit:
-    """Parse and validate a circuit file.
+    r"""Parse and validate a circuit file.
 
-    Lines are split into words with ``str.split``; ``_tokens`` finds columns
-    only for the header and for an error.  Each op goes through ``check_op``,
-    so a bad op keeps the message and column of ``gate_words``.  A register
-    of more than ``max_qubits`` wires, or, with ``memory_bytes``, one whose
-    ``run_bytes`` exceeds it, is refused at its header.
+    Lines end at ``\n``, ``\r\n`` and ``\r`` only, the endings that ``open``
+    in text mode translates; every other line separator of
+    ``str.splitlines`` (form feed, vertical tab, ``\x1c``-``\x1e``, ``\x85``,
+    U+2028, U+2029) is whitespace inside a line.  Lines are split into words
+    with ``str.split``; ``_tokens`` finds columns only for the header and for
+    an error.  Each op goes through ``check_op``, so a bad op keeps the
+    message and column of ``gate_words``.  A register of more than
+    ``max_qubits`` wires, or, with ``memory_bytes``, one whose ``run_bytes``
+    exceeds it, is refused at its header.
     """
     n_qubits: int | None = None
     ops: list[GateOp] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         words = raw.split("#", 1)[0].split()
         if not words:
             continue

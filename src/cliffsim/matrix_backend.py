@@ -32,11 +32,17 @@ _FIXED_MATRICES: dict[str, np.ndarray] = {
     "swap": np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     ),
+    "ccnot": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
+    "cswap": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]],
 }
 
 
 def gate_matrix(name: str, params=()) -> np.ndarray:
-    """Unitary matrix of a registry gate (control wires first)."""
+    """Unitary matrix of a registry gate (control wires first), as a new array.
+
+    Parameterless gates are copies of the constants in ``_FIXED_MATRICES``;
+    ``phase`` and ``u2`` are built from their parameters.
+    """
     if name in _FIXED_MATRICES:
         return _FIXED_MATRICES[name].copy()
     if name == "phase":
@@ -50,26 +56,23 @@ def gate_matrix(name: str, params=()) -> np.ndarray:
                 [complex(p[4], p[5]), complex(p[6], p[7])],
             ]
         )
-    if name == "ccnot":
-        m = np.eye(8, dtype=complex)
-        m[[6, 7], :] = m[[7, 6], :]
-        return m
-    if name == "cswap":
-        m = np.eye(8, dtype=complex)
-        m[[5, 6], :] = m[[6, 5], :]
-        return m
     raise ValueError(f"unknown gate {name!r}")
 
 
-def _apply_gate(vec: np.ndarray, gate: np.ndarray, wires, n: int) -> np.ndarray:
-    k = len(wires)
-    axes = [w - 1 for w in wires]
-    rest = [a for a in range(n) if a not in axes]
-    t = vec.reshape([2] * n).transpose(axes + rest).reshape(2 ** k, -1)
-    t = gate @ t
-    t = t.reshape([2] * n)
-    inverse = np.argsort(axes + rest)
-    return t.transpose(inverse).reshape(-1)
+def _apply_gate(t: np.ndarray, order: list[int], gate: np.ndarray, wires) -> tuple[np.ndarray, list[int]]:
+    """Apply ``gate`` on ``wires`` to the n-axis tensor ``t``, whose axis i is wire ``order[i] + 1``.
+
+    One transpose puts the gate's wires first and the other wires after them
+    in ascending order; that is the axis order of the returned tensor.
+    """
+    n = t.ndim
+    want = [w - 1 for w in wires]
+    want += [a for a in range(n) if a not in want]
+    # n axes exactly when the wires are distinct and in 1..n
+    if len(want) != n or len(gate) != 2 ** len(wires):
+        raise ValueError(f"a {len(gate)}x{len(gate)} gate cannot act on wires {tuple(wires)} of {n}")
+    m = t.transpose([order.index(a) for a in want]).reshape(len(gate), -1)
+    return (gate @ m).reshape(t.shape), want
 
 
 @dataclass
@@ -91,14 +94,21 @@ def initial_vector(n: int, bits=None) -> np.ndarray:
 
 
 def run_matrix(circuit: Circuit, init_bits=None) -> MatrixState:
-    """Evaluate the circuit by sequential matrix-vector products."""
+    """Evaluate the circuit by sequential matrix products on the state tensor.
+
+    The state is held as an n-axis tensor together with the wire order of its
+    axes, so each gate costs one transpose copy and one ``gate @ t``; the
+    MSB-first order comes back once, after the last gate.  An op whose wires
+    are out of 1..n, repeated or not the gate's count raises ``ValueError``.
+    """
     n = circuit.n_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"matrix backend capped at {MAX_DENSE_QUBITS} qubits")
-    vec = initial_vector(n, init_bits)
+    t = initial_vector(n, init_bits).reshape((2,) * n)
+    order = list(range(n))
     for op in circuit.ops:
-        vec = _apply_gate(vec, gate_matrix(op.name, op.params), op.wires, n)
-    return MatrixState(n, vec)
+        t, order = _apply_gate(t, order, gate_matrix(op.name, op.params), op.wires)
+    return MatrixState(n, t.transpose([order.index(a) for a in range(n)]).reshape(-1))
 
 
 @dataclass

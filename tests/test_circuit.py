@@ -164,42 +164,38 @@ class TestDiagnostics:
 
 SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
-# Bad op lines behind each separator that does not end a line, with their
-# exact refusal.
+# Bad op lines behind each separator (none ends a line), with their exact
+# refusal.  Vertical tab, \x1c and \x85 end a line for ``str.splitlines`` but
+# not for ``parse_circuit``.
 SEPARATED_BAD_LINES = [
     ("cnot{s}1{s}1", "\t", "line 3, column 8: gate 'cnot' requires distinct wires, got (1, 1)"),
     ("cnot{s}1{s}1", "\xa0", "line 3, column 8: gate 'cnot' requires distinct wires, got (1, 1)"),
     ("cnot{s}1{s}1", "\u3000", "line 3, column 8: gate 'cnot' requires distinct wires, got (1, 1)"),
+    ("cnot{s}1{s}1", "\x0b", "line 3, column 8: gate 'cnot' requires distinct wires, got (1, 1)"),
     ("{s}x{s}{s}4", "\t", "line 3, column 5: wire 4 out of range 1..3"),
     ("{s}x{s}{s}4", "\xa0", "line 3, column 5: wire 4 out of range 1..3"),
     ("{s}x{s}{s}4", "\u3000", "line 3, column 5: wire 4 out of range 1..3"),
+    ("{s}x{s}{s}4", "\x1c", "line 3, column 5: wire 4 out of range 1..3"),
     ("nope{s}1", "\t", "line 3, column 1: unknown gate 'nope'"),
     ("nope{s}1", "\u3000", "line 3, column 1: unknown gate 'nope'"),
+    ("nope{s}1", "\x85", "line 3, column 1: unknown gate 'nope'"),
     ("phase{s}1{s}nan", "\t", "line 3, column 9: non-finite parameter nan"),
     ("phase{s}1{s}nan", "\xa0", "line 3, column 9: non-finite parameter nan"),
     ("phase{s}1{s}nan", "\u3000", "line 3, column 9: non-finite parameter nan"),
+    ("phase{s}1{s}nan", "\x85", "line 3, column 9: non-finite parameter nan"),
     ("h{s}1{s}0.5", "\t", "line 3, column 1: gate 'h' takes 1 wire(s) and 0 parameter(s), got 1 and 1"),
     ("h{s}1{s}0.5", "\xa0", "line 3, column 1: gate 'h' takes 1 wire(s) and 0 parameter(s), got 1 and 1"),
+    ("h{s}1{s}0.5", "\x0b", "line 3, column 1: gate 'h' takes 1 wire(s) and 0 parameter(s), got 1 and 1"),
     ("x{s}1.5", "\t", "line 3, column 3: invalid wire '1.5'"),
     ("x{s}1.5", "\u3000", "line 3, column 3: invalid wire '1.5'"),
+    ("x{s}1.5", "\x1c", "line 3, column 3: invalid wire '1.5'"),
     ("cz{s}2{s}0", "\t", "line 3, column 6: wire 0 out of range 1..3"),
     ("cz{s}2{s}0", "\xa0", "line 3, column 6: wire 0 out of range 1..3"),
     ("cz{s}2{s}0", "\u3000", "line 3, column 6: wire 0 out of range 1..3"),
 ]
 
-# Vertical tab, \x1c and \x85 are whitespace but also end a line for
-# ``str.splitlines``, which ``parse_circuit`` uses, so the op is cut there and
-# loses its wires.  These rows pin that current behaviour (the open FOUND on
-# ``str.splitlines`` in CHANGES.md); a parser that ends lines only at \n, \r
-# and \r\n is expected to change them to the refusals of SEPARATED_BAD_LINES.
-LINE_BREAKING_BAD_LINES = [
-    ("cnot{s}1{s}1", "\x0b", "line 3, column 1: gate 'cnot' takes 2 wire(s) and 0 parameter(s), got 0 and 0"),
-    ("{s}x{s}{s}4", "\x1c", "line 4, column 1: gate 'x' takes 1 wire(s) and 0 parameter(s), got 0 and 0"),
-    ("nope{s}1", "\x85", "line 3, column 1: unknown gate 'nope'"),
-    ("phase{s}1{s}nan", "\x85", "line 3, column 1: gate 'phase' takes 1 wire(s) and 1 parameter(s), got 0 and 0"),
-    ("h{s}1{s}0.5", "\x0b", "line 3, column 1: gate 'h' takes 1 wire(s) and 0 parameter(s), got 0 and 0"),
-    ("x{s}1.5", "\x1c", "line 3, column 1: gate 'x' takes 1 wire(s) and 0 parameter(s), got 0 and 0"),
-]
+# The separators at which ``str.splitlines`` ends a line and ``parse_circuit`` does not.
+SPLITLINES_ONLY = [c for c in SPACES if c not in "\n\r" and len(f"a{c}b".splitlines()) == 2]
 
 
 class TestTokenizer:
@@ -221,11 +217,18 @@ class TestTokenizer:
             parse_circuit("qubits 3\nh 1\n" + template.format(s=space) + "  # note\n")
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("template,space,message", LINE_BREAKING_BAD_LINES)
-    def test_line_breaking_separator_cuts_the_op(self, template, space, message):
+    @pytest.mark.parametrize("space", SPLITLINES_ONLY, ids=lambda c: f"U+{ord(c):04X}")
+    def test_only_newlines_end_a_line(self, space):
         with pytest.raises(CircuitError) as exc:
-            parse_circuit("qubits 3\nh 1\n" + template.format(s=space) + "  # note\n")
-        assert str(exc.value) == message
+            parse_circuit(f"qubits 2\n{space}\nx{space}9\n")
+        assert str(exc.value) == "line 3, column 3: wire 9 out of range 1..2"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=repr)
+    def test_line_endings(self, newline):
+        text = newline.join(["qubits 2", "", "cnot 1 2", "x 9", ""])
+        with pytest.raises(CircuitError, match="^line 4, column 3: "):
+            parse_circuit(text)
+        assert parse_circuit(text.replace("x 9", "x 2")).ops[-1] == GateOp("x", (2,))
 
     @pytest.mark.parametrize("space", ["\t", "\xa0", "\u3000", "\u2003"])
     def test_separated_ops_parse(self, space):

@@ -175,3 +175,74 @@ def test_three_way_agreement(seed):
         from_blades = SpinorState(ctx, blade).amplitudes
         assert np.max(np.abs(state.amplitudes - oracle)) <= 1e-12, (seed, k)
         assert np.max(np.abs(from_blades - oracle)) <= 1e-12, (seed, k)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_wire_relabelling_permutes_index_bits(seed):
+    # metamorphic relation: moving wire w to wire perm[w - 1] moves bit w of every index there
+    rng = np.random.default_rng(7300 + seed)
+    n = int(rng.integers(1, 7))
+    circuit = random_circuit(rng, n, int(rng.integers(1, 31)))
+    perm = [int(p) + 1 for p in rng.permutation(n)]
+    bits = [int(b) for b in rng.integers(0, 2, size=n)]
+    moved_bits = [0] * n
+    for w, b in enumerate(bits, start=1):
+        moved_bits[perm[w - 1] - 1] = b
+    index = np.zeros(2**n, dtype=np.int64)
+    for w in range(1, n + 1):
+        index |= (np.arange(2**n) >> (n - w) & 1) << (n - perm[w - 1])
+    moved = Circuit(n, tuple(GateOp(op.name, tuple(perm[w - 1] for w in op.wires), op.params) for op in circuit.ops))
+    for run in (run_matrix, run_clifford):
+        expected = np.zeros(2**n, dtype=complex)
+        expected[index] = run(circuit, bits).amplitudes
+        assert np.max(np.abs(run(moved, moved_bits).amplitudes - expected)) <= 1e-12, run.__name__
+
+
+def _inverse(op: GateOp) -> GateOp:
+    """The registry op that undoes ``op``."""
+    if op.name == "s":
+        return GateOp("phase", op.wires, (-math.pi / 2,))
+    if op.name == "phase":
+        return GateOp("phase", op.wires, (-op.params[0],))
+    if op.name == "u2":
+        a, b, c, d = (complex(op.params[i], op.params[i + 1]) for i in range(0, 8, 2))
+        dagger = (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
+        return GateOp("u2", op.wires, tuple(x for e in dagger for x in (e.real, e.imag)))
+    return op
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_mirror_circuit_returns_the_initial_state(seed):
+    # Proctor et al., PRL 129, 150502 (2022): a circuit and then its inverse is the identity
+    rng = np.random.default_rng(7500 + seed)
+    n = seed % 6 + 1
+    circuit = random_circuit(rng, n, int(rng.integers(1, 31)))
+    mirror = Circuit(n, circuit.ops + tuple(_inverse(op) for op in reversed(circuit.ops)))
+    bits = [int(b) for b in rng.integers(0, 2, size=n)]
+    initial = np.zeros(2**n, dtype=complex)
+    initial[int("".join(map(str, bits)), 2)] = 1.0
+    for run in (run_matrix, run_clifford):
+        assert np.max(np.abs(run(mirror, bits).amplitudes - initial)) <= 1e-12, run.__name__
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        GateOp("x", (0,)),
+        GateOp("x", (-1,)),
+        GateOp("h", (4,)),
+        GateOp("cnot", (2, 0)),
+        GateOp("cz", (1, 4)),
+        GateOp("swap", (2, 2)),
+        GateOp("ccnot", (1, 3, 1)),
+        GateOp("cnot", (1,)),
+        GateOp("x", (1, 2)),
+        GateOp("cswap", (1, 2)),
+        GateOp("z", ()),
+    ],
+    ids=lambda op: f"{op.name}{op.wires}",
+)
+def test_oracle_refuses_bad_wires(op):
+    # wire 0 must not wrap to the last axis, and a wrong count must not reshape silently
+    with pytest.raises(ValueError, match="cannot act on wires"):
+        run_matrix(Circuit(3, (GateOp("h", (1,)), op)))
