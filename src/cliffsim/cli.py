@@ -88,7 +88,10 @@ def _print_run_json(backend: str, amps: np.ndarray, deviation: float | None) -> 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.circuit, encoding="utf-8") as fh:
-            text = fh.read()
+            # Drop a leading byte-order mark as the utf-8-sig codec would, without
+            # importing that codec (about 0.3 ms in a fresh process); the parser
+            # refuses one anywhere else.
+            text = fh.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.circuit}: {exc}", file=sys.stderr)
         return EXIT_USAGE

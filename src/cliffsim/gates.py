@@ -8,12 +8,10 @@ amplitudes, are formed at once for a batch (a whole small circuit, or a few
 blocks of 2^14 output indices of one gate), and each gate then gathers,
 multiplies and sums its whole table.  ``apply`` is ``apply_all`` of one gate.
 
-The Jordan-Wigner map is the one bridge between blades and amplitudes: on the
-basis words e_w (wire w) acts as Z_1 ... Z_{w-1} X_w and e_{w+n} as the same
-times -i Z_w, so every blade is one Pauli string phase * X^x Z^z.
-``_pauli_string`` and its inverse ``_blade_mask`` state it in closed form;
-only the blade form (``GateElement.value``, for display and algebra) and
-``GateElement.from_blades`` go through them.
+The blade form of a gate comes from the one Jordan-Wigner map in ``witt``:
+``GateElement.value`` (for display and algebra) is ``_paulis_to_blades`` of
+the table, and ``GateElement.from_blades`` turns each blade into its Pauli
+string with ``_pauli_string``.  Building and applying a gate never touch it.
 
 Each registry gate in ``GATE_SPECS`` is data: a sum of words, each word
 giving one wire's coordinates on (f_k f_k^dagger, f_k, f_k^dagger,
@@ -40,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .multivector import PRUNE_EPS, Multivector
-from .witt import SpinorState, WittContext, _freeze, basis_state, state_to_amplitudes
+from .witt import SpinorState, WittContext, _freeze, _pauli_string, _paulis_to_blades, basis_state, state_to_amplitudes
 
 UNITARY_TOL = 1e-10
 
@@ -82,12 +80,8 @@ class GateElement:
 
     @property
     def value(self) -> Multivector:
-        """The blade form, rebuilt on every read: X^x Z^z is the blade ``_blade_mask(x, z)`` over its phase."""
-        terms = {}
-        for x, z, coeff in self.paulis:
-            mask = _blade_mask(x, z, self.n)
-            terms[mask] = coeff * _pauli_string(mask, self.n)[2].conjugate()
-        return Multivector(2 * self.n, terms)
+        """The blade form of the table, rebuilt on every read."""
+        return _paulis_to_blades(self.n, self.paulis)
 
     @classmethod
     def from_blades(cls, value: Multivector) -> GateElement:
@@ -148,51 +142,6 @@ def ketbra(ctx: WittContext, bits_out, bits_in) -> Multivector:
     ket = basis_state(ctx, bits_out).value
     bra = basis_state(ctx, bits_in).value.dagger()
     return ket * bra
-
-
-# -- the Jordan-Wigner map -----------------------------------------------------------
-
-
-def _wire_bits(m: int, n: int) -> int:
-    """Index mask of an n-bit wire mask: bit w - 1 (wire w) becomes bit n - w, and back."""
-    return int(f"{m:0{n}b}"[::-1], 2)
-
-
-def _below(m: int, n: int) -> int:
-    """U(m): bit j is the parity of the bits of m below j, for j < n."""
-    p = m << 1
-    s = 1
-    while s < n:
-        p ^= p << s
-        s <<= 1
-    return p & ((1 << n) - 1)
-
-
-# (-i)^k for k mod 4.
-_MINUS_I_POWERS = (1 + 0j, -1j, -1 + 0j, 1j)
-
-
-def _pauli_string(mask: int, n: int) -> tuple[int, int, complex]:
-    """Action of blade e_A on the amplitudes as (x, z, phase): phase * X^x Z^z, Z^z first.
-
-    With a and b the index masks of the e_w and the e_{w+n} in the blade,
-    x = a ^ b and z = b ^ U(x): every e_w or e_{w+n} adds Z on the index bits
-    above its own, and e_{w+n} adds Z_w.  Each e_{w+n} brings a factor -i, and
-    composing the strings in blade order moves each e_{w+n} past the Z of
-    every e_v with v > w before it, hence (-i)^|b| (-1)^popcount(U(a) & b).
-    """
-    a = _wire_bits(mask & ((1 << n) - 1), n)
-    b = _wire_bits(mask >> n, n)
-    x = a ^ b
-    # (-1)^k = (-i)^(2k)
-    phase = _MINUS_I_POWERS[(b.bit_count() + 2 * (_below(a, n) & b).bit_count()) % 4]
-    return x, b ^ _below(x, n), phase
-
-
-def _blade_mask(x: int, z: int, n: int) -> int:
-    """The blade whose Pauli string is X^x Z^z: the inverse of ``_pauli_string``."""
-    b = z ^ _below(x, n)
-    return _wire_bits(x ^ b, n) | _wire_bits(b, n) << n
 
 
 def _pauli_table(n: int, wires: Sequence[int], words: Words) -> tuple[PauliTerm, ...]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, GateOp, run_clifford
-from .gates import GATE_SPECS
+from .gates import GATE_SPECS, UNITARY_TOL
 
 MAX_DENSE_QUBITS = 12
 
@@ -35,28 +35,35 @@ _FIXED_MATRICES: dict[str, np.ndarray] = {
     "ccnot": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
     "cswap": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]],
 }
+_EYE2 = np.eye(2)
 
 
 def gate_matrix(name: str, params=()) -> np.ndarray:
     """Unitary matrix of a registry gate (control wires first), as a new array.
 
     Parameterless gates are copies of the constants in ``_FIXED_MATRICES``;
-    ``phase`` and ``u2`` are built from their parameters.
+    ``phase`` and ``u2`` are built from their parameters.  ``ValueError`` for an
+    unknown name, a parameter count other than the registry's, a non-finite
+    parameter, or a ``u2`` with max|U^dagger U - 1| above ``UNITARY_TOL``.
     """
+    spec = GATE_SPECS.get(name)
+    if spec is None:
+        raise ValueError(f"unknown gate {name!r}")
+    if len(params) != spec.params:
+        raise ValueError(f"gate {name!r} takes {spec.params} parameter(s), got {len(params)}")
     if name in _FIXED_MATRICES:
         return _FIXED_MATRICES[name].copy()
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"gate {name!r} has a non-finite parameter in {tuple(params)}")
     if name == "phase":
         (phi,) = params
         return np.array([[1, 0], [0, cmath.exp(1j * phi)]], dtype=complex)
-    if name == "u2":
-        p = list(params)
-        return np.array(
-            [
-                [complex(p[0], p[1]), complex(p[2], p[3])],
-                [complex(p[4], p[5]), complex(p[6], p[7])],
-            ]
-        )
-    raise ValueError(f"unknown gate {name!r}")
+    u = np.array([complex(params[i], params[i + 1]) for i in range(0, 8, 2)]).reshape(2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge entry is inf or nan here, so refused
+        err = np.abs(u.conj().T @ u - _EYE2).max()
+    if not err <= UNITARY_TOL:
+        raise ValueError(f"gate 'u2' matrix is not unitary (deviation {err:.3e})")
+    return u
 
 
 def _apply_gate(t: np.ndarray, order: list[int], gate: np.ndarray, wires) -> tuple[np.ndarray, list[int]]:

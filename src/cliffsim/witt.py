@@ -1,4 +1,4 @@
-"""Witt basis for the complex Clifford algebra on 2n generators.
+"""Witt basis for the complex Clifford algebra on 2n generators, and its Jordan-Wigner map.
 
 Wire j pairs generators (e_j, e_{j+n}) into the isotropic elements
 
@@ -9,8 +9,16 @@ which square to zero and satisfy f_j f_k^dagger + f_k^dagger f_j = delta_jk.
 The primitive idempotent I = f_1 f_1^dagger ... f_n f_n^dagger generates the
 left ideal used as the n-qubit state space; its basis states are the words
 (f_1^dagger)^{b_1} ... (f_n^dagger)^{b_n} I for bit lists b, MSB first.
-A state is held as its 2^n coordinates on these words; its blade form is
-rebuilt only on demand.
+A state is held as its 2^n coordinates on these words.
+
+The Jordan-Wigner map is the one bridge between blades and amplitudes: on the
+basis words e_w (wire w) acts as Z_1 ... Z_{w-1} X_w and e_{w+n} as the same
+times -i Z_w, so every blade is one Pauli string phase * X^x Z^z.
+``_pauli_string`` and its inverse ``_blade_mask`` state it in closed form, and
+``_paulis_to_blades`` turns a table of strings into its blade form.  Every
+blade form goes through them: a gate's (``gates.GateElement.value``) and a
+state's, the ket A I with A = sum_k a_k X^k (X^k moves I = |0> to |k>);
+``SpinorState(ctx, x)`` reads the amplitudes back through them too.
 
 All Witt construction coefficients are dyadic, so the identity suites hold
 with exact floating-point cancellation.
@@ -24,6 +32,60 @@ from .multivector import Multivector, Signature, hermitian_inner
 
 SPINOR_TOL = 1e-12
 MAX_QUBITS = 32
+
+
+# -- the Jordan-Wigner map -----------------------------------------------------------
+
+
+def _wire_bits(m: int, n: int) -> int:
+    """Index mask of an n-bit wire mask: bit w - 1 (wire w) becomes bit n - w, and back."""
+    return int(f"{m:0{n}b}"[::-1], 2)
+
+
+def _below(m: int, n: int) -> int:
+    """U(m): bit j is the parity of the bits of m below j, for j < n."""
+    p = m << 1
+    s = 1
+    while s < n:
+        p ^= p << s
+        s <<= 1
+    return p & ((1 << n) - 1)
+
+
+# (-i)^k for k mod 4.
+_MINUS_I_POWERS = (1 + 0j, -1j, -1 + 0j, 1j)
+
+
+def _pauli_string(mask: int, n: int) -> tuple[int, int, complex]:
+    """Action of blade e_A on the amplitudes as (x, z, phase): phase * X^x Z^z, Z^z first.
+
+    With a and b the index masks of the e_w and the e_{w+n} in the blade,
+    x = a ^ b and z = b ^ U(x): every e_w or e_{w+n} adds Z on the index bits
+    above its own, and e_{w+n} adds Z_w.  Each e_{w+n} brings a factor -i, and
+    composing the strings in blade order moves each e_{w+n} past the Z of
+    every e_v with v > w before it, hence (-i)^|b| (-1)^popcount(U(a) & b).
+    """
+    a = _wire_bits(mask & ((1 << n) - 1), n)
+    b = _wire_bits(mask >> n, n)
+    x = a ^ b
+    # (-1)^k = (-i)^(2k)
+    phase = _MINUS_I_POWERS[(b.bit_count() + 2 * (_below(a, n) & b).bit_count()) % 4]
+    return x, b ^ _below(x, n), phase
+
+
+def _blade_mask(x: int, z: int, n: int) -> int:
+    """The blade whose Pauli string is X^x Z^z: the inverse of ``_pauli_string``."""
+    b = z ^ _below(x, n)
+    return _wire_bits(x ^ b, n) | _wire_bits(b, n) << n
+
+
+def _paulis_to_blades(n: int, paulis) -> Multivector:
+    """The element acting on the amplitudes as the rows (x, z, coeff): X^x Z^z is the blade ``_blade_mask(x, z)`` over its phase."""
+    terms = {}
+    for x, z, coeff in paulis:
+        mask = _blade_mask(x, z, n)
+        terms[mask] = coeff * _pauli_string(mask, n)[2].conjugate()
+    return Multivector(2 * n, terms)
 
 
 class WittContext:
@@ -91,10 +153,10 @@ class SpinorState:
             raise ValueError("state multivector does not match context algebra")
         if not is_spinor(ctx, value):
             raise ValueError("multivector is not in the spinor ideal")
-        amps = [
-            (2 ** ctx.n) * hermitian_inner(basis_state(ctx, index_bits(k, ctx.n)).value, value)
-            for k in range(2 ** ctx.n)
-        ]
+        # Blade m_k of X^k occurs in basis word k alone, there as 2^-n / phase_k.
+        n = ctx.n
+        masks = [_blade_mask(k, 0, n) for k in range(2**n)]
+        amps = [(2**n) * _pauli_string(m, n)[2] * value.coefficient(m) for m in masks]
         _freeze(self, ctx, np.array(amps, dtype=complex))
 
     def __setattr__(self, name, value):
@@ -106,33 +168,15 @@ class SpinorState:
 
     @property
     def value(self) -> Multivector:
-        """Blade form sum_k a_k (f^dagger-word_k) I, rebuilt on every read."""
-        return _blade_form(self.ctx, self.amplitudes)
+        """The ket A I with A = sum_k a_k X^k over the nonzero a_k, rebuilt on every read."""
+        rows = [(k, 0, a) for k, a in enumerate(self.amplitudes.tolist()) if a]
+        return _paulis_to_blades(self.n, rows) * self.ctx.idempotent
 
 
 def _freeze(state: SpinorState, ctx: WittContext, amplitudes: np.ndarray) -> None:
     amplitudes.flags.writeable = False
     object.__setattr__(state, "ctx", ctx)
     object.__setattr__(state, "amplitudes", amplitudes)
-
-
-def _blade_form(ctx: WittContext, amplitudes: np.ndarray, j: int = 1) -> Multivector:
-    """sum_k a_k (f_j^dagger)^{b_j} ... (f_n^dagger)^{b_n} f_j f_j^dagger ... f_n f_n^dagger.
-
-    The amplitudes index wires j..n, MSB first.  Each basis word is the
-    ordered product of per-wire factors f_k f_k^dagger (bit 0) or
-    f_k^dagger (bit 1), since f^dagger f f^dagger = f^dagger and the even
-    f_k f_k^dagger commute with the other wires; splitting on wire j's bit
-    therefore costs one two-term product per half.
-    """
-    if j > ctx.n:
-        return Multivector.scalar(ctx.signature, amplitudes[0])
-    half = len(amplitudes) // 2
-    out = Multivector.zero(ctx.signature)
-    for factor, part in ((ctx.proj0, amplitudes[:half]), (ctx.fdag, amplitudes[half:])):
-        if part.any():
-            out = out + factor(j) * _blade_form(ctx, part, j + 1)
-    return out
 
 
 def basis_state(ctx: WittContext, bits: list[int] | tuple[int, ...]) -> SpinorState:
@@ -199,18 +243,11 @@ def witt_coordinates(mv: Multivector, n: int) -> dict[tuple[int, ...], complex]:
         raise ValueError(f"multivector dim {mv.dim} does not match 2n = {2 * n}")
     out: dict[tuple[int, ...], complex] = {}
     for mask, coeff in mv.terms.items():
-        # Regroup the ascending generator list by wire and track the sign.
-        order = []
-        for k in range(1, n + 1):
-            if mask & (1 << (k - 1)):
-                order.append(k)
-            if mask & (1 << (k + n - 1)):
-                order.append(k + n)
-        sign = 1
-        seen: list[int] = []
-        for g in order:
-            sign *= -1 if sum(1 for s in seen if s > g) % 2 else 1
-            seen.append(g)
+        # Regrouping the ascending generators by wire moves each e_{w+n} past
+        # the e_v with v > w: the (-1)^popcount(U(a) & b) of ``_pauli_string``.
+        a = _wire_bits(mask & ((1 << n) - 1), n)
+        b = _wire_bits(mask >> n, n)
+        sign = -1 if (_below(a, n) & b).bit_count() & 1 else 1
         # Per-wire change of basis to (1, f, fdag, fdag f).
         words: list[tuple[tuple[int, ...], complex]] = [((), coeff * sign)]
         for k in range(1, n + 1):

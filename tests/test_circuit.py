@@ -307,15 +307,26 @@ class TestRunClifford:
 
     def test_run_path_never_builds_the_blade_form(self, monkeypatch):
         # gates are built and applied as Pauli tables; the blade form is for display alone
+        import sys
+
         import cliffsim.gates
+        import cliffsim.witt
         from cliffsim.matrix_backend import run_matrix
 
         def refuse(*args):
             raise AssertionError("run_clifford went through the blade form")
 
-        monkeypatch.setattr(cliffsim.gates, "_pauli_string", refuse)
-        monkeypatch.setattr(cliffsim.gates, "_blade_mask", refuse)
+        # The Jordan-Wigner map lives in witt.py: refuse it there and under
+        # every name by which a cliffsim module imported it.
+        modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "cliffsim"]
+        for name in ("_wire_bits", "_below", "_pauli_string", "_blade_mask", "_paulis_to_blades"):
+            original = getattr(cliffsim.witt, name)
+            for module in modules:
+                for attr, obj in list(vars(module).items()):
+                    if obj is original:
+                        monkeypatch.setattr(module, attr, refuse)
         monkeypatch.setattr(cliffsim.gates.GateElement, "value", property(refuse))
+        monkeypatch.setattr(cliffsim.witt.SpinorState, "value", property(refuse))
         circuit = random_circuit(np.random.default_rng(151), 4, 60)
         assert {op.name for op in circuit.ops} == set(GATE_SPECS)
         state = run_clifford(circuit)

@@ -125,6 +125,31 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {path}: ")
 
+    def test_leading_byte_order_mark_is_read(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.qc", tmp_path / "marked.qc"
+        plain.write_bytes(BELL.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + BELL.encode())
+        assert main(["run", "--show-algebra", "--backend", "both", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main(["run", "--show-algebra", "--backend", "both", str(marked)]) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"qubits 1\n\xef\xbb\xbfx 1\n", "line 2, column 1: unknown gate '\\ufeffx'"),
+            (b"qubits 2\nx 1 \xef\xbb\xbf\n", "line 2, column 5: invalid parameter '\\ufeff'"),
+            (b"\xef\xbb\xbf\xef\xbb\xbfqubits 1\nx 1\n", "line 1, column 1: expected 'qubits N' header"),
+        ],
+    )
+    def test_later_byte_order_mark_is_refused(self, tmp_path, capsys, data, message):
+        path = tmp_path / "marked.qc"
+        path.write_bytes(data)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_bad_init_exits_2(self, bell_file, capsys):
         assert main(["run", "--init", "0", bell_file]) == 2
 

@@ -578,7 +578,7 @@ class TestApplication:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 13, 20, 32])
     def test_pauli_string_closed_form(self, n):
         # the closed-form Jordan-Wigner map against composing the generators' strings one by one
-        from cliffsim.gates import _blade_mask, _pauli_string
+        from cliffsim.witt import _blade_mask, _pauli_string
 
         def reference(mask):
             # e_j (wire j <= n) is Z_1 ... Z_{j-1} X_j and e_{j+n} the same times -i Z_j;

@@ -1,6 +1,7 @@
 """Dense matrix oracle: gate matrices, circuit evaluation, differential checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,26 @@ class TestGateMatrices:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             gate_matrix("nope")
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (GateOp("x", (1,), (0.5,)), "gate 'x' takes 0 parameter(s), got 1"),
+            (GateOp("u2", (1,), (2, 0, 0, 0, 0, 0, 1, 0)), "matrix is not unitary (deviation 3.000e+00)"),
+            (GateOp("u2", (1,), (1e200, 0, 0, 0, 0, 0, 1, 0)), "matrix is not unitary (deviation inf)"),
+            (GateOp("phase", (1,), (math.nan,)), "non-finite parameter"),
+            (GateOp("u2", (1,), (1, 0, 0, 0, 0, 0, math.inf, 0)), "non-finite parameter"),
+            (GateOp("u2", (1,), (1, 0, 0, 0, 0, 0, 1)), "gate 'u2' takes 8 parameter(s), got 7"),
+            (GateOp("phase", (1,), ()), "gate 'phase' takes 1 parameter(s), got 0"),
+        ],
+    )
+    def test_refuses_what_the_clifford_side_refuses(self, op, message):
+        # hand-built ops the parser never lets through: the oracle must not run them either
+        circuit = Circuit(1, (op,))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_matrix(circuit)
+        with pytest.raises(ValueError):
+            run_clifford(circuit)
 
 
 class TestRunMatrix:
@@ -159,8 +180,9 @@ class TestEmbeddedOracle:
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_three_way_agreement(seed):
-    # the table kernel, the blade product in the algebra and the dense oracle, gate by gate
+def test_three_way_agreement(seed, ket_by_definition):
+    # the table kernel, the blade product in the algebra and the dense oracle, gate by gate;
+    # the blade leg is also checked against the ket written from its definition, not through the map
     rng = np.random.default_rng(7100 + seed)
     n = int(rng.integers(1, 5))
     circuit = random_circuit(rng, n, int(rng.integers(1, 13)))
@@ -175,6 +197,7 @@ def test_three_way_agreement(seed):
         from_blades = SpinorState(ctx, blade).amplitudes
         assert np.max(np.abs(state.amplitudes - oracle)) <= 1e-12, (seed, k)
         assert np.max(np.abs(from_blades - oracle)) <= 1e-12, (seed, k)
+        assert blade.max_coeff_diff(ket_by_definition(ctx, oracle)) <= 1e-12, (seed, k)
 
 
 @pytest.mark.parametrize("seed", range(24))

@@ -291,3 +291,55 @@ class TestWittRendering:
                     word = word * factor
                 rebuilt = rebuilt + c * word
             assert rebuilt.max_coeff_diff(mv) < 1e-12
+
+
+def seeded_states(n, seed):
+    """A dense, a sparse, a real and an imaginary state on n qubits, and every basis state."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    sparse = dense * (rng.random(2**n) < 0.4)
+    vectors = [dense, sparse, dense.real.astype(complex), 1j * dense.imag, *np.eye(2**n, dtype=complex)]
+    return [amplitudes_to_state(WittContext(n), v) for v in vectors]
+
+
+def inversion_witt_coordinates(mv, n):
+    """``witt_coordinates`` with the regrouping sign counted inversion by inversion."""
+    out = {}
+    for mask, coeff in mv.terms.items():
+        order = [g for k in range(1, n + 1) for g in (k, k + n) if mask >> (g - 1) & 1]
+        sign = (-1) ** sum(1 for i, g in enumerate(order) for s in order[:i] if s > g)
+        words = [((), coeff * sign)]
+        for k in range(1, n + 1):
+            local = {
+                (0, 0): {0: 1.0 + 0j},
+                (1, 0): {1: 1.0 + 0j, 2: 1.0 + 0j},
+                (0, 1): {1: 1j, 2: -1j},
+                (1, 1): {0: -1j, 3: 2j},
+            }[mask >> (k - 1) & 1, mask >> (k + n - 1) & 1]
+            words = [(codes + (code,), c * lc) for codes, c in words for code, lc in local.items()]
+        for codes, c in words:
+            out[codes] = out.get(codes, 0j) + c
+    return {codes: c for codes, c in out.items() if abs(c) > 1e-14}
+
+
+def hex_terms(mv):
+    return {m: (c.real.hex(), c.imag.hex()) for m, c in mv.terms.items()}
+
+
+class TestJordanWignerBridge:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_value_round_trips_exactly(self, n):
+        for s in seeded_states(n, 400 + n):
+            assert np.array_equal(SpinorState(s.ctx, s.value).amplitudes, s.amplitudes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_value_is_the_defining_sum(self, n, ket_by_definition):
+        for s in seeded_states(n, 500 + n):
+            assert hex_terms(s.value) == hex_terms(ket_by_definition(s.ctx, s.amplitudes))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_regroup_sign_matches_inversion_count(self, n):
+        sig = Signature(2 * n)
+        for mask in range(4**n):
+            blade = Multivector(sig, {mask: 1.0})
+            assert witt_coordinates(blade, n) == inversion_witt_coordinates(blade, n), mask
