@@ -1,8 +1,12 @@
-"""Display paths against golden transcripts: exact stdout of `run --show-algebra` and `gate-dump`.
+"""CLI output against golden transcripts.
 
-Each transcript in ``tests/golden`` is a sequence of blocks, a ``$ cliffsim ARGS``
-line followed by the stdout of that command; the circuit files it names sit
-next to it.
+``show_algebra.txt`` and ``gate_dump.txt`` pin the exact stdout of the display
+paths, `run --show-algebra` and `gate-dump`: each is a sequence of blocks, a
+``$ cliffsim ARGS`` line followed by the stdout of that command.
+``usage.txt`` pins argparse's side (help, usage errors, every command):
+each ``$ cliffsim ARGS`` line is followed by ``## exit N``, then ``## stdout``
+and ``## stderr``, each followed by that stream's text.  The circuit files the
+transcripts name sit next to them.
 """
 
 import shlex
@@ -27,6 +31,21 @@ def blocks(name):
     return [tuple(block) for block in out]
 
 
+def usage_blocks():
+    """(args, exit code, stdout, stderr) for each command of ``usage.txt``."""
+    out = []
+    for line in (GOLDEN / "usage.txt").read_text(encoding="utf-8").splitlines(keepends=True):
+        if line.startswith("$ cliffsim"):
+            out.append({"args": line[len("$ cliffsim") :].strip(), "stdout": "", "stderr": ""})
+        elif line.startswith("## exit "):
+            out[-1]["exit"] = int(line[len("## exit ") :])
+        elif line.startswith("## "):
+            stream = line[len("## ") :].strip()
+        else:
+            out[-1][stream] += line
+    return [(b["args"], b["exit"], b["stdout"], b["stderr"]) for b in out]
+
+
 CASES = [pytest.param(args, text, id=args) for name in ("show_algebra.txt", "gate_dump.txt") for args, text in blocks(name)]
 
 
@@ -43,3 +62,21 @@ def test_stdout_matches_golden(args, expected, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == expected
+
+
+def test_usage_transcript_covers_every_command():
+    commands = {a.split()[0] for a, *_ in usage_blocks() if a and not a.startswith("-")}
+    assert {"run", "fuzz", "bloch", "iso-check", "gate-dump"} <= commands
+
+
+@pytest.mark.parametrize("args, code, stdout, stderr", [pytest.param(*b, id=b[0] or "(none)") for b in usage_blocks()])
+def test_usage_matches_golden(args, code, stdout, stderr, capsys, monkeypatch):
+    # argparse wraps help and usage to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(GOLDEN)
+    try:
+        got = main(shlex.split(args))
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, out, err) == (code, stdout, stderr)
