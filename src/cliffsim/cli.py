@@ -18,7 +18,6 @@ import numpy as np
 from .circuit import CircuitError, parse_bits, parse_circuit, run_clifford
 from .gates import build_gate, gate_spec
 from .matrix_backend import MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
-from .real_ga import bloch_angles, bloch_verify, iso_check
 from .witt import MAX_QUBITS, WittContext, render_witt
 
 EXIT_OK = 0
@@ -211,6 +210,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def cmd_bloch(args: argparse.Namespace) -> int:
+    from .real_ga import bloch_angles, bloch_verify
+
     try:
         alpha = _parse_complex(args.alpha)
         beta = _parse_complex(args.beta)
@@ -226,6 +227,8 @@ def cmd_bloch(args: argparse.Namespace) -> int:
 
 
 def cmd_iso_check(args: argparse.Namespace) -> int:
+    from .real_ga import iso_check
+
     report = iso_check()
     print(
         f"isomorphism check: {report.elements} elements, {report.pairs} products"
@@ -263,14 +266,7 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cliffsim",
-        description="Quantum circuit simulation in complex Clifford algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run a circuit file")
+def _run_arguments(run: argparse.ArgumentParser) -> None:
     run.add_argument("circuit", help="circuit file path")
     run.add_argument("--backend", choices=("clifford", "matrix", "both"), default="clifford")
     run.add_argument("--init", default=None, help="initial bitstring, MSB first")
@@ -278,33 +274,61 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--show-algebra", action="store_true")
     run.add_argument("--json", action="store_true")
     run.add_argument("--tol", type=_tolerance, default=1e-9)
-    run.set_defaults(func=cmd_run)
 
-    fuzz = sub.add_parser("fuzz", help="differential test against the matrix backend")
+
+def _fuzz_arguments(fuzz: argparse.ArgumentParser) -> None:
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--circuits", type=int, default=200)
     fuzz.add_argument("--max-qubits", type=int, default=4)
     fuzz.add_argument("--depth", type=int, default=20)
     fuzz.add_argument("--tol", type=_tolerance, default=1e-9)
     fuzz.add_argument("--json", action="store_true")
-    fuzz.set_defaults(func=cmd_fuzz)
 
-    bloch = sub.add_parser("bloch", help="Bloch angles and rotation check")
+
+def _bloch_arguments(bloch: argparse.ArgumentParser) -> None:
     bloch.add_argument("alpha", help="complex amplitude, e.g. 0.6 or 0.6+0.8j")
     bloch.add_argument("beta")
-    bloch.set_defaults(func=cmd_bloch)
 
-    iso = sub.add_parser("iso-check", help="verify the real-algebra isomorphism")
-    iso.set_defaults(func=cmd_iso_check)
 
-    dump = sub.add_parser("gate-dump", help="print a gate in the Witt basis")
+def _gate_dump_arguments(dump: argparse.ArgumentParser) -> None:
     dump.add_argument("name")
     dump.add_argument("--wires", type=int, nargs="+", default=None)
     dump.add_argument("--qubits", type=int, default=None)
     dump.add_argument("--param", type=float, default=None, help="angle for phase")
     dump.add_argument("--u2", type=float, nargs=8, default=None, help="re/im pairs of a b c d")
-    dump.set_defaults(func=cmd_gate_dump)
 
+
+# Each command: its help text, the function that adds its arguments, and its handler.
+COMMANDS = {
+    "run": ("run a circuit file", _run_arguments, cmd_run),
+    "fuzz": ("differential test against the matrix backend", _fuzz_arguments, cmd_fuzz),
+    "bloch": ("Bloch angles and rotation check", _bloch_arguments, cmd_bloch),
+    "iso-check": ("verify the real-algebra isomorphism", lambda parser: None, cmd_iso_check),
+    "gate-dump": ("print a gate in the Witt basis", _gate_dump_arguments, cmd_gate_dump),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with the subparser of ``command`` alone when that names one, else with every one.
+
+    Building a subparser costs about as much as parsing, so a process builds
+    only the one it runs.  Its usage line still lists every command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cliffsim",
+        description="Quantum circuit simulation in complex Clifford algebras.",
+    )
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # A metavar also renames the argument in argparse's errors (``argument
+    # {run,...}:`` for ``argument command:``), so it is set only where no such
+    # error can arise: with one command, which argv's first token names.
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, func = COMMANDS[name]
+        command_parser = sub.add_parser(name, help=help_text)
+        add_arguments(command_parser)
+        command_parser.set_defaults(func=func)
     return parser
 
 
@@ -314,7 +338,7 @@ def main(argv=None) -> int:
         # bloch has no option but -h, so every other token is an amplitude:
         # "--" keeps argparse from reading one like -0.8j or -inf as a flag.
         argv.insert(1, "--")
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     return args.func(args)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import Multivector, Signature, hermitian_inner
+from .multivector import Multivector, Signature
 
 SPINOR_TOL = 1e-12
 MAX_QUBITS = 32
@@ -151,13 +151,10 @@ class SpinorState:
     def __init__(self, ctx: WittContext, value: Multivector):
         if value.signature != ctx.signature:
             raise ValueError("state multivector does not match context algebra")
-        if not is_spinor(ctx, value):
+        amps = _coordinates(ctx, value)
+        if not _ket(ctx, amps).isclose(value, SPINOR_TOL):
             raise ValueError("multivector is not in the spinor ideal")
-        # Blade m_k of X^k occurs in basis word k alone, there as 2^-n / phase_k.
-        n = ctx.n
-        masks = [_blade_mask(k, 0, n) for k in range(2**n)]
-        amps = [(2**n) * _pauli_string(m, n)[2] * value.coefficient(m) for m in masks]
-        _freeze(self, ctx, np.array(amps, dtype=complex))
+        _freeze(self, ctx, amps)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -169,8 +166,20 @@ class SpinorState:
     @property
     def value(self) -> Multivector:
         """The ket A I with A = sum_k a_k X^k over the nonzero a_k, rebuilt on every read."""
-        rows = [(k, 0, a) for k, a in enumerate(self.amplitudes.tolist()) if a]
-        return _paulis_to_blades(self.n, rows) * self.ctx.idempotent
+        return _ket(self.ctx, self.amplitudes)
+
+
+def _ket(ctx: WittContext, amplitudes: np.ndarray) -> Multivector:
+    """A I with A = sum_k a_k X^k over the nonzero amplitudes a_k."""
+    rows = [(k, 0, a) for k, a in enumerate(amplitudes.tolist()) if a]
+    return _paulis_to_blades(ctx.n, rows) * ctx.idempotent
+
+
+def _coordinates(ctx: WittContext, x: Multivector) -> np.ndarray:
+    """The amplitudes of x if x is in the ideal: blade m_k of X^k occurs in basis word k alone, there as 2^-n / phase_k."""
+    n = ctx.n
+    masks = [_blade_mask(k, 0, n) for k in range(2**n)]
+    return np.array([(2**n) * _pauli_string(m, n)[2] * x.coefficient(m) for m in masks], dtype=complex)
 
 
 def _freeze(state: SpinorState, ctx: WittContext, amplitudes: np.ndarray) -> None:
@@ -199,15 +208,19 @@ def index_bits(k: int, n: int) -> tuple[int, ...]:
 
 
 def spinor_inner(ctx: WittContext, x: SpinorState, y: SpinorState) -> complex:
-    """Hermitian product normalized by 2^n so basis states are orthonormal."""
+    """<x|y>: the Hermitian product of the kets normalized by 2^n, which is the vdot of the amplitudes."""
     if x.ctx.n != ctx.n or y.ctx.n != ctx.n:
         raise ValueError("state qubit count does not match context")
-    return (2 ** ctx.n) * hermitian_inner(x.value, y.value)
+    return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
 def is_spinor(ctx: WittContext, x: Multivector, tol: float = SPINOR_TOL) -> bool:
-    """True iff right multiplication by the primitive idempotent fixes x."""
-    return (x * ctx.idempotent).isclose(x, tol)
+    """True iff x lies in the ideal: x is the ket rebuilt from its own coordinates, to ``tol`` per blade.
+
+    The ideal is the span of the basis words, and ``_coordinates`` reads any
+    element of it exactly, so this is x I = x without the 2^n-term product.
+    """
+    return _ket(ctx, _coordinates(ctx, x)).isclose(x, tol)
 
 
 def state_to_amplitudes(ctx: WittContext, x: SpinorState) -> list[complex]:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON output."""
 
+import argparse
 import json
 import math
 import os
@@ -477,3 +478,43 @@ class TestGateOpAgreement:
         argv = ["gate-dump", name, "--wires", *map(str, wires), "--qubits", "2", *flag, *params]
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestParserCost:
+    """``main`` builds the subparser of the command it runs and no other; help and errors build all five."""
+
+    @pytest.fixture
+    def parsers(self, monkeypatch):
+        """Names of the ``argparse.ArgumentParser`` objects constructed from here on."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
+
+    def test_run_builds_two(self, bell_file, capsys, parsers):
+        assert main(["run", bell_file]) == 0
+        assert parsers == ["cliffsim", "cliffsim run"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--circuits", "1", "--max-qubits", "1", "--depth", "1"],
+            ["bloch", "0.6", "0.8"],
+            ["iso-check"],
+            ["gate-dump", "x"],
+        ],
+    )
+    def test_each_command_builds_two(self, capsys, parsers, argv):
+        assert main(argv) == 0
+        assert parsers == ["cliffsim", f"cliffsim {argv[0]}"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["bogus"], ["--", "run", "x"], [], ["RUN", "x"]])
+    def test_help_and_unknown_commands_build_all(self, capsys, parsers, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(parsers) == 6

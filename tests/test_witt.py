@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffsim.multivector import Multivector, Signature
+from cliffsim.multivector import Multivector, Signature, hermitian_inner
 from cliffsim.witt import (
+    SPINOR_TOL,
     SpinorState,
     WittContext,
     amplitudes_to_state,
@@ -181,6 +182,17 @@ class TestSpinorInner:
                 got = spinor_inner(ctx, sa, sb)
                 assert abs(got - (1.0 if a == b else 0.0)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_blade_formula(self, n):
+        # 2^n times the Hermitian product of the two kets' blade forms, on unit states.
+        ctx = WittContext(n)
+        vectors = [s.amplitudes for s in seeded_states(n, 600 + n)[:4] if s.amplitudes.any()]
+        states = [amplitudes_to_state(ctx, v / np.linalg.norm(v)) for v in vectors]
+        for sa in states:
+            for sb in states:
+                blades = (2**n) * hermitian_inner(sa.value, sb.value)
+                assert abs(spinor_inner(ctx, sa, sb) - blades) < 1e-12
+
 
 class TestIdealMembership:
     def test_idempotent_is_spinor(self):
@@ -200,6 +212,18 @@ class TestIdealMembership:
         with pytest.raises(ValueError):
             SpinorState(ctx, ctx.f(1))
         SpinorState(ctx, ctx.idempotent)  # fine
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_verdict_of_the_idempotent_product(self, n):
+        # The defining test, x I = x, on kets and on kets with one blade moved by 1e-3.
+        ctx = WittContext(n)
+        rng = np.random.default_rng(700 + n)
+        for _ in range(30):
+            x = amplitudes_to_state(ctx, rng.normal(size=2**n) + 1j * rng.normal(size=2**n)).value
+            moved = x + Multivector(ctx.signature, {int(rng.integers(4**n)): 1e-3})
+            for element, inside in ((x, True), (moved, False)):
+                by_product = (element * ctx.idempotent).isclose(element, SPINOR_TOL)
+                assert is_spinor(ctx, element) == by_product == inside
 
     def test_state_requires_matching_algebra(self):
         ctx = WittContext(1)
