@@ -218,7 +218,8 @@ def is_spinor(ctx: WittContext, x: Multivector, tol: float = SPINOR_TOL) -> bool
     """True iff x lies in the ideal: x is the ket rebuilt from its own coordinates, to ``tol`` per blade.
 
     The ideal is the span of the basis words, and ``_coordinates`` reads any
-    element of it exactly, so this is x I = x without the 2^n-term product.
+    element of it exactly, so this decides x I = x without multiplying x's
+    (up to 4^n) terms by I.
     """
     return _ket(ctx, _coordinates(ctx, x)).isclose(x, tol)
 
