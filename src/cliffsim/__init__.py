@@ -31,7 +31,6 @@ from .matrix_backend import (
 )
 from .multivector import (
     Multivector,
-    Signature,
     blade_product,
     exp_element,
     hermitian_inner,

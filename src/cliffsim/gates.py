@@ -86,9 +86,9 @@ class GateElement:
     @classmethod
     def from_blades(cls, value: Multivector) -> GateElement:
         """The element ``value`` of a 2n-generator algebra, each blade turned into its Pauli string."""
-        n, odd = divmod(value.signature.dim, 2)
-        if odd or value.signature.q:
-            raise ValueError(f"signature {value.signature} is not the 2n Euclidean generators of n qubits")
+        n, odd = divmod(value.dim, 2)
+        if odd:
+            raise ValueError(f"{value.dim} generators are not the 2n generators of n qubits")
         paulis = []
         for mask, coeff in value.terms.items():
             x, z, phase = _pauli_string(mask, n)
@@ -266,7 +266,7 @@ def apply(g: GateElement, state: SpinorState) -> SpinorState:
 def is_unitary(g: GateElement, tol: float = UNITARY_TOL) -> bool:
     """Checks g^dagger g = 1 and g g^dagger = 1."""
     value = g.value
-    one = Multivector.scalar(value.signature, 1.0)
+    one = Multivector.scalar(value.dim, 1.0)
     dag = value.dagger()
     return (dag * value).isclose(one, tol) and (value * dag).isclose(one, tol)
 

@@ -14,14 +14,15 @@ Sign conventions, per grade-r blade:
 * Hermitian conjugation   reverse sign with complex-conjugated coefficient
 
 The last one fixes the generators (e_j -> e_j), is complex conjugation on
-scalars, and makes <x|x> = sum |x_A|^2 nonnegative for a Euclidean metric.
+scalars, and makes <x|x> = sum |x_A|^2 nonnegative, since every generator
+squares to +1.  Over the complex numbers every nondegenerate quadratic form
+is a sum of squares, so the generator count alone fixes the algebra.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 MAX_GENERATORS = 64
@@ -29,54 +30,25 @@ PRUNE_EPS = 1e-14
 EQ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Metric signature (p, q): generators 1..p square to +1, p+1..p+q to -1."""
-
-    p: int
-    q: int = 0
-
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
-            raise ValueError("signature counts must be nonnegative")
-        if self.p + self.q > MAX_GENERATORS:
-            raise ValueError(f"at most {MAX_GENERATORS} generators supported")
-
-    @property
-    def dim(self) -> int:
-        return self.p + self.q
-
-    def square(self, j: int) -> int:
-        """Square of generator e_j (1-based)."""
-        if not 1 <= j <= self.dim:
-            raise ValueError(f"generator index {j} out of range 1..{self.dim}")
-        return 1 if j <= self.p else -1
-
-    @property
-    def neg_mask(self) -> int:
-        """Blade mask of the generators that square to -1."""
-        return ((1 << self.q) - 1) << self.p
-
-
-def _sign_mask(a: int, sig: Signature) -> int:
-    """Mask Q(a) with sign(a b) = (-1)^popcount(Q(a) & b) for every blade b.
+def _sign_mask(a: int) -> int:
+    """Mask P(a) with sign(a b) = (-1)^popcount(P(a) & b) for every blade b.
 
     Bit j of the suffix parity P(a) is the parity of the bits of ``a`` above
     j, i.e. of the transpositions that move b's generator j past a's higher
-    ones when the concatenated blades are sorted.  Each common generator that
-    squares to -1 contributes one more sign, hence Q(a) = P(a) ^ (a & neg).
+    ones when the concatenated blades are sorted.  Every generator squares to
+    +1, so the common ones add no sign.
     """
     p = a >> 1
     s = 1
-    while s < sig.dim:
+    while s < a.bit_length():
         p ^= p >> s
         s <<= 1
-    return p ^ (a & sig.neg_mask)
+    return p
 
 
-def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
+def blade_product(a: int, b: int) -> tuple[int, int]:
     """Geometric product of basis blades: (sign, result mask)."""
-    return (-1 if (_sign_mask(a, sig) & b).bit_count() & 1 else 1), a ^ b
+    return (-1 if (_sign_mask(a) & b).bit_count() & 1 else 1), a ^ b
 
 
 def _reverse_sign(mask: int) -> int:
@@ -94,18 +66,18 @@ def _conjugation_sign(mask: int) -> int:
 class Multivector:
     """Immutable sparse multivector. Do not mutate ``terms`` after creation."""
 
-    __slots__ = ("signature", "terms")
+    __slots__ = ("dim", "terms")
 
-    def __init__(self, signature: Signature | int, terms: Mapping[int, complex] | None = None):
-        if isinstance(signature, int):
-            signature = Signature(signature)
-        self.signature = signature
+    def __init__(self, dim: int, terms: Mapping[int, complex] | None = None):
+        if not 0 <= dim <= MAX_GENERATORS:
+            raise ValueError(f"generator count {dim} outside 0..{MAX_GENERATORS}")
+        self.dim = dim
         pruned: dict[int, complex] = {}
         if terms:
-            limit = 1 << signature.dim
+            limit = 1 << dim
             for mask, coeff in terms.items():
                 if not 0 <= mask < limit:
-                    raise ValueError(f"blade mask {mask:#x} outside algebra of dim {signature.dim}")
+                    raise ValueError(f"blade mask {mask:#x} outside algebra of dim {dim}")
                 c = complex(coeff)
                 if not abs(c) < PRUNE_EPS:  # keeps NaN, which fails every comparison
                     pruned[mask] = c
@@ -114,46 +86,40 @@ class Multivector:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, signature: Signature | int) -> Multivector:
-        return cls(signature)
+    def zero(cls, dim: int) -> Multivector:
+        return cls(dim)
 
     @classmethod
-    def scalar(cls, signature: Signature | int, value: complex) -> Multivector:
-        return cls(signature, {0: value})
+    def scalar(cls, dim: int, value: complex) -> Multivector:
+        return cls(dim, {0: value})
 
     @classmethod
-    def basis_vector(cls, signature: Signature | int, j: int) -> Multivector:
-        sig = Signature(signature) if isinstance(signature, int) else signature
-        if not 1 <= j <= sig.dim:
-            raise ValueError(f"generator index {j} out of range 1..{sig.dim}")
-        return cls(sig, {1 << (j - 1): 1.0})
+    def basis_vector(cls, dim: int, j: int) -> Multivector:
+        if not 1 <= j <= dim:
+            raise ValueError(f"generator index {j} out of range 1..{dim}")
+        return cls(dim, {1 << (j - 1): 1.0})
 
     @classmethod
-    def blade(cls, signature: Signature | int, generators: Iterable[int], coeff: complex = 1.0) -> Multivector:
+    def blade(cls, dim: int, generators: Iterable[int], coeff: complex = 1.0) -> Multivector:
         """Product of distinct generators in the given order (sign tracked)."""
-        sig = Signature(signature) if isinstance(signature, int) else signature
         mask = 0
         sign = 1
         for j in generators:
             bit = 1 << (j - 1)
             if mask & bit:
                 raise ValueError(f"repeated generator e_{j} in blade")
-            s, mask = blade_product(mask, bit, sig)
+            s, mask = blade_product(mask, bit)
             sign *= s
-        return cls(sig, {mask: sign * coeff})
+        return cls(dim, {mask: sign * coeff})
 
     @classmethod
-    def _from_raw(cls, signature: Signature, terms: dict[int, complex]) -> Multivector:
+    def _from_raw(cls, dim: int, terms: dict[int, complex]) -> Multivector:
         mv = cls.__new__(cls)
-        mv.signature = signature
+        mv.dim = dim
         mv.terms = {m: c for m, c in terms.items() if not abs(c) < PRUNE_EPS}
         return mv
 
     # -- basics ------------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self.signature.dim
 
     def coefficient(self, mask: int) -> complex:
         return self.terms.get(mask, 0j)
@@ -164,31 +130,26 @@ class Multivector:
     def grades(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
 
-    def is_zero(self, tol: float = EQ_TOL) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
-
     def norm(self) -> float:
         """Coefficient 2-norm, sqrt(sum |x_A|^2)."""
         return math.sqrt(sum(abs(c) ** 2 for c in self.terms.values()))
 
     def _check_compatible(self, other: Multivector) -> None:
-        if self.signature != other.signature:
-            raise ValueError(
-                f"algebra mismatch: {self.signature} vs {other.signature}"
-            )
+        if self.dim != other.dim:
+            raise ValueError(f"algebra mismatch: {self.dim} vs {other.dim} generators")
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: Multivector | complex) -> Multivector:
         if isinstance(other, (int, float, complex)):
-            other = Multivector.scalar(self.signature, other)
+            other = Multivector.scalar(self.dim, other)
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0j) + c
-        return Multivector._from_raw(self.signature, out)
+        return Multivector._from_raw(self.dim, out)
 
     __radd__ = __add__
 
@@ -199,7 +160,7 @@ class Multivector:
         return (-self) + complex(other)
 
     def __neg__(self) -> Multivector:
-        return Multivector._from_raw(self.signature, {m: -c for m, c in self.terms.items()})
+        return Multivector._from_raw(self.dim, {m: -c for m, c in self.terms.items()})
 
     def __truediv__(self, scalar: complex) -> Multivector:
         return self * (1.0 / complex(scalar))
@@ -209,18 +170,17 @@ class Multivector:
     def __mul__(self, other: Multivector | complex) -> Multivector:
         if isinstance(other, (int, float, complex)):
             z = complex(other)
-            return Multivector._from_raw(self.signature, {m: c * z for m, c in self.terms.items()})
+            return Multivector._from_raw(self.dim, {m: c * z for m, c in self.terms.items()})
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_compatible(other)
-        sig = self.signature
         out: dict[int, complex] = {}
         for a, ca in self.terms.items():
-            q = _sign_mask(a, sig)
+            q = _sign_mask(a)
             for b, cb in other.terms.items():
                 m = a ^ b
                 out[m] = out.get(m, 0j) + ca * cb * (-1 if (q & b).bit_count() & 1 else 1)
-        return Multivector._from_raw(sig, out)
+        return Multivector._from_raw(self.dim, out)
 
     def __rmul__(self, other: complex) -> Multivector:
         if isinstance(other, (int, float, complex)):
@@ -232,13 +192,13 @@ class Multivector:
         self._check_compatible(other)
         out: dict[int, complex] = {}
         for a, ca in self.terms.items():
-            q = _sign_mask(a, self.signature)
+            q = _sign_mask(a)
             for b, cb in other.terms.items():
                 if a & b:
                     continue
                 m = a ^ b
                 out[m] = out.get(m, 0j) + ca * cb * (-1 if (q & b).bit_count() & 1 else 1)
-        return Multivector._from_raw(self.signature, out)
+        return Multivector._from_raw(self.dim, out)
 
     def left_contract(self, other: Multivector) -> Multivector:
         """Left contraction: grade-lowering part of the geometric product.
@@ -248,15 +208,14 @@ class Multivector:
         construction.
         """
         self._check_compatible(other)
-        sig = self.signature
         out: dict[int, complex] = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 if a & ~b:
                     continue
-                s, m = blade_product(a, b, sig)
+                s, m = blade_product(a, b)
                 out[m] = out.get(m, 0j) + ca * cb * s
-        return Multivector._from_raw(sig, out)
+        return Multivector._from_raw(self.dim, out)
 
     # -- grading and involutions ----------------------------------------------
 
@@ -265,35 +224,35 @@ class Multivector:
         if not 0 <= r <= self.dim:
             raise ValueError(f"grade {r} out of range 0..{self.dim}")
         return Multivector._from_raw(
-            self.signature, {m: c for m, c in self.terms.items() if m.bit_count() == r}
+            self.dim, {m: c for m, c in self.terms.items() if m.bit_count() == r}
         )
 
     def grade_involution(self) -> Multivector:
         return Multivector._from_raw(
-            self.signature, {m: c * _involution_sign(m) for m, c in self.terms.items()}
+            self.dim, {m: c * _involution_sign(m) for m, c in self.terms.items()}
         )
 
     def reverse(self) -> Multivector:
         return Multivector._from_raw(
-            self.signature, {m: c * _reverse_sign(m) for m, c in self.terms.items()}
+            self.dim, {m: c * _reverse_sign(m) for m, c in self.terms.items()}
         )
 
     def clifford_conjugate(self) -> Multivector:
         return Multivector._from_raw(
-            self.signature, {m: c * _conjugation_sign(m) for m, c in self.terms.items()}
+            self.dim, {m: c * _conjugation_sign(m) for m, c in self.terms.items()}
         )
 
     def dagger(self) -> Multivector:
         """Hermitian conjugation: conjugated coefficients with reverse signs."""
         return Multivector._from_raw(
-            self.signature,
+            self.dim,
             {m: c.conjugate() * _reverse_sign(m) for m, c in self.terms.items()},
         )
 
     # -- comparison ------------------------------------------------------------
 
     def isclose(self, other: Multivector, tol: float = EQ_TOL) -> bool:
-        if self.signature != other.signature:
+        if self.dim != other.dim:
             return False
         for m in self.terms.keys() | other.terms.keys():
             if abs(self.terms.get(m, 0j) - other.terms.get(m, 0j)) > tol:
@@ -352,20 +311,16 @@ def _format_complex(c: complex, digits: int = 12) -> str:
 
 
 def hermitian_inner(x: Multivector, y: Multivector) -> complex:
-    """Scalar part of x^dagger y.
+    """Scalar part of x^dagger y: sum_A conj(x_A) y_A, real and nonnegative at x == y.
 
-    For a Euclidean metric this is sum_A conj(x_A) y_A, hence real and
-    nonnegative at x == y.
+    The dagger's reverse sign on blade A cancels the sign of A A.
     """
     x._check_compatible(y)
-    sig = x.signature
     out = 0j
     for m, cx in x.terms.items():
         cy = y.terms.get(m)
-        if cy is None:
-            continue
-        sign = _reverse_sign(m) * blade_product(m, m, sig)[0]
-        out += cx.conjugate() * cy * sign
+        if cy is not None:
+            out += cx.conjugate() * cy
     return out
 
 
@@ -379,13 +334,13 @@ def exp_element(x: Multivector, tol: float = 1e-13, max_terms: int = 64) -> Mult
     x2 = x * x
     if not x2.terms or set(x2.terms) == {0}:
         w = x2.scalar_part()
-        one = Multivector.scalar(x.signature, 1.0)
+        one = Multivector.scalar(x.dim, 1.0)
         if w == 0:
             return one + x
         s = cmath.sqrt(w)
         return cmath.cosh(s) * one + (cmath.sinh(s) / s) * x
-    acc = Multivector.scalar(x.signature, 1.0)
-    term = Multivector.scalar(x.signature, 1.0)
+    acc = Multivector.scalar(x.dim, 1.0)
+    term = Multivector.scalar(x.dim, 1.0)
     for k in range(1, max_terms + 1):
         term = term * x * (1.0 / k)
         acc = acc + term

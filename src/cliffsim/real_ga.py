@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .multivector import Multivector, Signature, blade_product, exp_element
+from .multivector import Multivector, blade_product, exp_element
 
-G3 = Signature(3)
+G3 = 3
 
 REAL_TOL = 1e-12
 
@@ -216,7 +216,7 @@ class TensorG3:
                 sign = 1
                 key = []
                 for ma, mb in zip(ka, kb):
-                    s, m = blade_product(ma, mb, G3)
+                    s, m = blade_product(ma, mb)
                     sign *= s
                     key.append(m)
                 tkey = tuple(key)
@@ -326,13 +326,12 @@ def iso_check(tol: float = 1e-12) -> IsoReport:
     the four orthonormal blades and the four Witt words, each with and
     without the imaginary unit.
     """
-    c2 = Signature(2)
-    one = Multivector.scalar(c2, 1.0)
-    e1 = Multivector.basis_vector(c2, 1)
-    e2 = Multivector.basis_vector(c2, 2)
-    e12 = Multivector(c2, {0b11: 1.0})
-    f = Multivector(c2, {0b01: 0.5, 0b10: -0.5j})
-    fd = Multivector(c2, {0b01: 0.5, 0b10: 0.5j})
+    one = Multivector.scalar(2, 1.0)
+    e1 = Multivector.basis_vector(2, 1)
+    e2 = Multivector.basis_vector(2, 2)
+    e12 = Multivector(2, {0b11: 1.0})
+    f = Multivector(2, {0b01: 0.5, 0b10: -0.5j})
+    fd = Multivector(2, {0b01: 0.5, 0b10: 0.5j})
     base = [one, e1, e2, e12, f, fd, f * fd, fd * f]
     elems = base + [1j * x for x in base]
     max_prod = 0.0

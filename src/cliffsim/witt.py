@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import Multivector, Signature
+from .multivector import Multivector
 
 SPINOR_TOL = 1e-12
 MAX_QUBITS = 32
@@ -95,7 +95,7 @@ class WittContext:
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"qubit count {n} out of range 1..{MAX_QUBITS}")
         self.n = n
-        self.signature = Signature(2 * n)
+        self.dim = 2 * n
 
     @property
     def idempotent(self) -> Multivector:
@@ -111,26 +111,26 @@ class WittContext:
 
     def f(self, j: int) -> Multivector:
         self._check_wire(j)
-        return Multivector(self.signature, {1 << (j - 1): 0.5, 1 << (j + self.n - 1): -0.5j})
+        return Multivector(self.dim, {1 << (j - 1): 0.5, 1 << (j + self.n - 1): -0.5j})
 
     def fdag(self, j: int) -> Multivector:
         self._check_wire(j)
-        return Multivector(self.signature, {1 << (j - 1): 0.5, 1 << (j + self.n - 1): 0.5j})
+        return Multivector(self.dim, {1 << (j - 1): 0.5, 1 << (j + self.n - 1): 0.5j})
 
     # f f^dagger = (1 + i e_j e_{j+n}) / 2 and f^dagger f = (1 - i e_j e_{j+n}) / 2,
     # with the +0.0 real parts that the products f * fd and fd * f give.
     def proj0(self, j: int) -> Multivector:
         """Wire idempotent f_j f_j^dagger (projects onto bit 0)."""
         self._check_wire(j)
-        return Multivector(self.signature, {0: 0.5, 1 << (j - 1) | 1 << (j + self.n - 1): complex(0.0, 0.5)})
+        return Multivector(self.dim, {0: 0.5, 1 << (j - 1) | 1 << (j + self.n - 1): complex(0.0, 0.5)})
 
     def proj1(self, j: int) -> Multivector:
         """Wire idempotent f_j^dagger f_j (projects onto bit 1)."""
         self._check_wire(j)
-        return Multivector(self.signature, {0: 0.5, 1 << (j - 1) | 1 << (j + self.n - 1): complex(0.0, -0.5)})
+        return Multivector(self.dim, {0: 0.5, 1 << (j - 1) | 1 << (j + self.n - 1): complex(0.0, -0.5)})
 
     def one(self) -> Multivector:
-        return Multivector.scalar(self.signature, 1.0)
+        return Multivector.scalar(self.dim, 1.0)
 
     def __repr__(self) -> str:
         return f"WittContext(n={self.n})"
@@ -149,7 +149,7 @@ class SpinorState:
     __slots__ = ("ctx", "amplitudes")
 
     def __init__(self, ctx: WittContext, value: Multivector):
-        if value.signature != ctx.signature:
+        if value.dim != ctx.dim:
             raise ValueError("state multivector does not match context algebra")
         amps = _coordinates(ctx, value)
         if not _ket(ctx, amps).isclose(value, SPINOR_TOL):

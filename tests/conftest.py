@@ -23,7 +23,7 @@ def ket_by_definition():
     """
 
     def ket(ctx, amplitudes):
-        out = Multivector.zero(ctx.signature)
+        out = Multivector.zero(ctx.dim)
         for k, a in enumerate(amplitudes):
             if a:
                 word = ctx.one()

@@ -107,8 +107,8 @@ def test_criterion_3_orthonormality():
 def test_criterion_4_single_gate_golden_forms():
     ctx = WittContext(1)
     f, fd = ctx.f(1), ctx.fdag(1)
-    e1 = Multivector.basis_vector(ctx.signature, 1)
-    e2 = Multivector.basis_vector(ctx.signature, 2)
+    e1 = Multivector.basis_vector(ctx.dim, 1)
+    e2 = Multivector.basis_vector(ctx.dim, 2)
     ok = build_gate(ctx, "x", (1,)).value.terms == (fd + f).terms
     ok &= build_gate(ctx, "x", (1,)).value.terms == e1.terms
     ok &= build_gate(ctx, "y", (1,)).value.terms == (1j * fd - 1j * f).terms

@@ -113,18 +113,18 @@ class TestSingleQubitGoldenForms:
     def test_x_equals_first_generator(self, ctx1):
         g = build_gate(ctx1, "x", (1,))
         assert g.value.terms == (ctx1.fdag(1) + ctx1.f(1)).terms
-        assert g.value.terms == Multivector.basis_vector(ctx1.signature, 1).terms
+        assert g.value.terms == Multivector.basis_vector(ctx1.dim, 1).terms
 
     def test_y_equals_minus_second_generator(self, ctx1):
         g = build_gate(ctx1, "y", (1,))
         assert g.value.terms == (1j * ctx1.fdag(1) - 1j * ctx1.f(1)).terms
-        assert g.value.terms == (-Multivector.basis_vector(ctx1.signature, 2)).terms
+        assert g.value.terms == (-Multivector.basis_vector(ctx1.dim, 2)).terms
 
     def test_z_equals_imaginary_bivector(self, ctx1):
         g = build_gate(ctx1, "z", (1,))
         assert g.value.terms == (ctx1.proj0(1) - ctx1.proj1(1)).terms
-        e1 = Multivector.basis_vector(ctx1.signature, 1)
-        e2 = Multivector.basis_vector(ctx1.signature, 2)
+        e1 = Multivector.basis_vector(ctx1.dim, 1)
+        e2 = Multivector.basis_vector(ctx1.dim, 2)
         assert g.value.terms == (1j * e1.outer(e2)).terms
 
     def test_x_flips_basis_states(self, ctx1):
@@ -165,8 +165,8 @@ class TestHadamard:
         r = 1.0 / math.sqrt(2.0)
         expected = (ctx1.proj0(1) - ctx1.proj1(1) + ctx1.f(1) + ctx1.fdag(1)) * r
         assert g.value.max_coeff_diff(expected) < 1e-13
-        e1 = Multivector.basis_vector(ctx1.signature, 1)
-        e2 = Multivector.basis_vector(ctx1.signature, 2)
+        e1 = Multivector.basis_vector(ctx1.dim, 1)
+        e2 = Multivector.basis_vector(ctx1.dim, 2)
         assert g.value.max_coeff_diff(r * (e1 + 1j * e1.outer(e2))) < 1e-13
 
     def test_square_is_identity(self, ctx1):
@@ -232,7 +232,7 @@ class TestKetBra:
         assert ketbra(ctx1, [1], [0]).terms == ctx1.fdag(1).terms
 
     def test_completeness(self, ctx2):
-        total = Multivector.zero(ctx2.signature)
+        total = Multivector.zero(ctx2.dim)
         for k in range(4):
             bits = index_bits(k, 2)
             total = total + ketbra(ctx2, bits, bits)
@@ -334,13 +334,13 @@ class TestSuperTensor:
     def test_blade_super_commutation_randomized(self):
         # (eA eB)(eC eD) = (-1)^{|B||C|} (eA eC)(eB eD) for disjoint B, C
         rng = np.random.default_rng(107)
-        sig = WittContext(3).signature
+        dim = WittContext(3).dim
         for _ in range(50):
             b = int(rng.integers(0, 64))
             c = int(rng.integers(0, 64)) & ~b
             a = int(rng.integers(0, 64))
             d = int(rng.integers(0, 64))
-            ea, eb, ec, ed = (Multivector(sig, {m: 1.0}) for m in (a, b, c, d))
+            ea, eb, ec, ed = (Multivector(dim, {m: 1.0}) for m in (a, b, c, d))
             lhs = (ea * eb) * (ec * ed)
             sign = (-1) ** (bin(b).count("1") * bin(c).count("1"))
             rhs = sign * (ea * ec) * (eb * ed)
@@ -502,7 +502,7 @@ class TestApplication:
             apply(build_gate(ctx1, "x", (1,)), basis_state(ctx2, [0, 0]))
 
     def test_empty_table_gives_zero_state(self, ctx2):
-        g = super_tensor(ctx2, [Multivector.zero(ctx2.signature), None])
+        g = super_tensor(ctx2, [Multivector.zero(ctx2.dim), None])
         assert g.paulis == ()
         s = amplitudes_to_state(ctx2, [0.5, 0.5j, -0.5, 0.5])
         assert apply(g, s).amplitudes.tobytes() == np.zeros(4, dtype=complex).tobytes()
@@ -569,7 +569,7 @@ class TestApplication:
             masks = [int(m) for m in rng.integers(0, 4 ** n, size=40 if n <= 6 else 3)]
             indices = [int(k) for k in rng.integers(0, 2 ** n, size=4 if n <= 6 else 2)]
         for mask in masks:
-            blade = Multivector(ctx.signature, {mask: 1.0})
+            blade = Multivector(ctx.dim, {mask: 1.0})
             for k in indices:
                 basis = basis_state(ctx, index_bits(k, n))
                 got = apply(GateElement.from_blades(blade), basis).value

@@ -11,94 +11,85 @@ from hypothesis import strategies as st
 from cliffsim.multivector import (
     EQ_TOL,
     Multivector,
-    Signature,
+    _reverse_sign,
     blade_product,
     exp_element,
     hermitian_inner,
 )
 
-EUCLID_3 = Signature(3)
 
-
-def random_multivector(rng, dim, nterms=6, sig=None):
-    sig = sig or Signature(dim)
+def random_multivector(rng, dim, nterms=6):
     terms = {}
     for _ in range(nterms):
         mask = int(rng.integers(0, 1 << dim))
         terms[mask] = complex(rng.normal(), rng.normal())
-    return Multivector(sig, terms)
+    return Multivector(dim, terms)
 
 
-# Sparse multivectors with Gaussian-integer coefficients in a mixed signature:
+# Sparse multivectors with Gaussian-integer coefficients on 0..7 generators:
 # every product and sum stays exact, so the algebra laws hold term for term.
-signatures = st.builds(Signature, st.integers(0, 4), st.integers(0, 3))
+dims = st.integers(0, 7)
 
 
-def sparse_multivectors(sig):
-    masks = st.integers(0, (1 << sig.dim) - 1)
+def sparse_multivectors(dim):
+    masks = st.integers(0, (1 << dim) - 1)
     coeffs = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
-    return st.dictionaries(masks, coeffs, max_size=6).map(lambda terms: Multivector(sig, terms))
+    return st.dictionaries(masks, coeffs, max_size=6).map(lambda terms: Multivector(dim, terms))
 
 
 class TestBladeProduct:
     def test_generator_squares_to_one(self):
-        assert blade_product(0b1, 0b1, EUCLID_3) == (1, 0)
+        assert blade_product(0b1, 0b1) == (1, 0)
 
     def test_distinct_generators_anticommute(self):
-        assert blade_product(0b10, 0b01, EUCLID_3) == (-1, 0b11)
-        assert blade_product(0b01, 0b10, EUCLID_3) == (1, 0b11)
+        assert blade_product(0b10, 0b01) == (-1, 0b11)
+        assert blade_product(0b01, 0b10) == (1, 0b11)
 
     def test_two_blades_with_common_generator(self):
         # e1e2 * e2e3 = e1 (e2 e2) e3 = e1e3, expanded by hand
-        assert blade_product(0b011, 0b110, EUCLID_3) == (1, 0b101)
+        assert blade_product(0b011, 0b110) == (1, 0b101)
 
-    def test_negative_signature_square(self):
-        sig = Signature(2, 1)
-        assert blade_product(0b100, 0b100, sig) == (-1, 0)
-        assert blade_product(0b001, 0b001, sig) == (1, 0)
+    def test_self_product_is_reverse_sign(self):
+        # e_A e_A equals the reverse sign of A for every blade on up to 8
+        # generators, so the dagger's sign cancels it in hermitian_inner.
+        for m in range(1 << 8):
+            assert blade_product(m, m) == (_reverse_sign(m), 0), m
 
-    @pytest.mark.parametrize(
-        "p,q", [(3, 0), (1, 2), (0, 3), (16, 0), (9, 7), (0, 16), (64, 0), (40, 24), (0, 64)]
-    )
-    def test_matches_brute_force_sign(self, p, q):
-        sig = Signature(p, q)
-        dim = sig.dim
-        rng = random.Random(1000 * p + q)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 33, 40, 63, 64])
+    def test_matches_brute_force_sign(self, dim):
+        rng = random.Random(dim)
         full = (1 << dim) - 1
         pairs = [(full, full), (1 << (dim - 1), 1), (1, 1 << (dim - 1))]
         pairs += [(rng.getrandbits(dim), rng.getrandbits(dim)) for _ in range(200)]
         for a, b in pairs:
-            assert blade_product(a, b, sig) == (_brute_force_sign(a, b, sig), a ^ b), (a, b)
+            assert blade_product(a, b) == (_brute_force_sign(a, b, dim), a ^ b), (a, b)
 
 
-def _brute_force_sign(a, b, sig):
+def _brute_force_sign(a, b, dim):
     """Sign of a b from sorting the concatenated generator lists by swaps."""
-    gens = [j for j in range(1, sig.dim + 1) if a >> (j - 1) & 1]
-    gens += [j for j in range(1, sig.dim + 1) if b >> (j - 1) & 1]
+    gens = [j for j in range(1, dim + 1) if a >> (j - 1) & 1]
+    gens += [j for j in range(1, dim + 1) if b >> (j - 1) & 1]
     inversions = sum(1 for i, x in enumerate(gens) for y in gens[i + 1 :] if x > y)
-    common = [j for j in range(1, sig.dim + 1) if (a & b) >> (j - 1) & 1]
-    negative_squares = sum(1 for j in common if sig.square(j) < 0)
-    return (-1) ** (inversions + negative_squares)
+    return (-1) ** inversions
 
 
 class TestGeometricProduct:
     def test_nilpotent_combination(self):
-        one = Multivector.scalar(EUCLID_3, 1.0)
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
+        one = Multivector.scalar(3, 1.0)
+        e1 = Multivector.basis_vector(3, 1)
         prod = (one + e1) * (one - e1)
         assert prod.terms == {}
 
     def test_witt_pair_product_has_scalar_half(self):
-        sig = Signature(2)
-        f = Multivector(sig, {0b01: 0.5, 0b10: -0.5j})
-        fd = Multivector(sig, {0b01: 0.5, 0b10: 0.5j})
+        f = Multivector(2, {0b01: 0.5, 0b10: -0.5j})
+        fd = Multivector(2, {0b01: 0.5, 0b10: 0.5j})
         prod = f * fd
         assert prod.scalar_part() == 0.5
-        assert prod.terms == (Multivector.scalar(sig, 0.5) + f.outer(fd)).terms
+        assert prod.terms == (Multivector.scalar(2, 0.5) + f.outer(fd)).terms
 
     def test_vector_product_is_blade(self):
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
-        e2 = Multivector.basis_vector(EUCLID_3, 2)
+        e1 = Multivector.basis_vector(3, 1)
+        e2 = Multivector.basis_vector(3, 2)
         assert (e1 * e2).terms == {0b11: 1 + 0j}
 
     def test_dimension_mismatch_raises(self):
@@ -108,35 +99,35 @@ class TestGeometricProduct:
 
 class TestOuterProduct:
     def test_self_wedge_vanishes(self):
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
+        e1 = Multivector.basis_vector(3, 1)
         assert e1.outer(e1).terms == {}
 
     def test_wedge_of_generators(self):
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
-        e2 = Multivector.basis_vector(EUCLID_3, 2)
+        e1 = Multivector.basis_vector(3, 1)
+        e2 = Multivector.basis_vector(3, 2)
         assert e1.outer(e2).terms == {0b11: 1 + 0j}
 
     def test_bilinear_expansion(self):
         # (e1+e2) ^ (e1-e2) = -2 e1e2, expanded by hand
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
-        e2 = Multivector.basis_vector(EUCLID_3, 2)
+        e1 = Multivector.basis_vector(3, 1)
+        e2 = Multivector.basis_vector(3, 2)
         assert (e1 + e2).outer(e1 - e2).terms == {0b11: -2 + 0j}
 
 
 class TestLeftContraction:
     def test_generator_on_itself(self):
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
+        e1 = Multivector.basis_vector(3, 1)
         assert e1.left_contract(e1).terms == {0: 1 + 0j}
 
     def test_orthogonal_generators(self):
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
-        e2 = Multivector.basis_vector(EUCLID_3, 2)
+        e1 = Multivector.basis_vector(3, 1)
+        e2 = Multivector.basis_vector(3, 2)
         assert e1.left_contract(e2).terms == {}
 
     def test_vector_into_blade_sign(self):
         # Normative identity: contraction = geometric - wedge on vectors.
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
-        e12 = Multivector.blade(EUCLID_3, [1, 2])
+        e1 = Multivector.basis_vector(3, 1)
+        e12 = Multivector.blade(3, [1, 2])
         contraction = e1.left_contract(e12)
         assert contraction.terms == ((e1 * e12) - e1.outer(e12)).terms
         assert contraction.terms == {0b10: 1 + 0j}
@@ -145,9 +136,8 @@ class TestLeftContraction:
         rng = np.random.default_rng(7)
         for _ in range(30):
             dim = int(rng.integers(1, 6))
-            sig = Signature(dim)
             j = int(rng.integers(1, dim + 1))
-            v = Multivector.basis_vector(sig, j) * complex(rng.normal(), rng.normal())
+            v = Multivector.basis_vector(dim, j) * complex(rng.normal(), rng.normal())
             x = random_multivector(rng, dim)
             lhs = v * x
             rhs = v.left_contract(x) + v.outer(x)
@@ -157,42 +147,41 @@ class TestLeftContraction:
 
 class TestGradeProjection:
     def test_scalar_part_of_witt_idempotent(self):
-        sig = Signature(2)
-        f = Multivector(sig, {0b01: 0.5, 0b10: -0.5j})
-        fd = Multivector(sig, {0b01: 0.5, 0b10: 0.5j})
+        f = Multivector(2, {0b01: 0.5, 0b10: -0.5j})
+        fd = Multivector(2, {0b01: 0.5, 0b10: 0.5j})
         assert (f * fd).grade(0).terms == {0: 0.5 + 0j}
 
     def test_vector_has_no_scalar_part(self):
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
+        e1 = Multivector.basis_vector(3, 1)
         assert e1.grade(0).terms == {}
 
     def test_bivector_projection(self):
-        x = Multivector(EUCLID_3, {0: 3.0, 0b11: 1.0})
+        x = Multivector(3, {0: 3.0, 0b11: 1.0})
         assert x.grade(2).terms == {0b11: 1 + 0j}
 
     def test_out_of_range_grade(self):
         with pytest.raises(ValueError):
-            Multivector.scalar(EUCLID_3, 1.0).grade(4)
+            Multivector.scalar(3, 1.0).grade(4)
 
 
 class TestInvolutions:
     def test_grade_involution_signs(self):
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
-        e12 = Multivector.blade(EUCLID_3, [1, 2])
+        e1 = Multivector.basis_vector(3, 1)
+        e12 = Multivector.blade(3, [1, 2])
         assert e1.grade_involution().terms == {0b01: -1 + 0j}
         assert e12.grade_involution().terms == {0b11: 1 + 0j}
-        x = Multivector(EUCLID_3, {0: 1.0, 0b01: 1.0, 0b11: 1.0})
+        x = Multivector(3, {0: 1.0, 0b01: 1.0, 0b11: 1.0})
         assert x.grade_involution().terms == {0: 1 + 0j, 0b01: -1 + 0j, 0b11: 1 + 0j}
 
     def test_reverse_signs(self):
-        assert Multivector.blade(EUCLID_3, [1, 2]).reverse().terms == {0b11: -1 + 0j}
-        assert Multivector.basis_vector(EUCLID_3, 1).reverse().terms == {0b01: 1 + 0j}
-        assert Multivector.blade(EUCLID_3, [1, 2, 3]).reverse().terms == {0b111: -1 + 0j}
+        assert Multivector.blade(3, [1, 2]).reverse().terms == {0b11: -1 + 0j}
+        assert Multivector.basis_vector(3, 1).reverse().terms == {0b01: 1 + 0j}
+        assert Multivector.blade(3, [1, 2, 3]).reverse().terms == {0b111: -1 + 0j}
 
     def test_clifford_conjugation_signs(self):
-        assert Multivector.basis_vector(EUCLID_3, 1).clifford_conjugate().terms == {0b01: -1 + 0j}
-        assert Multivector.blade(EUCLID_3, [1, 2]).clifford_conjugate().terms == {0b11: -1 + 0j}
-        z = Multivector.scalar(EUCLID_3, 2 - 3j)
+        assert Multivector.basis_vector(3, 1).clifford_conjugate().terms == {0b01: -1 + 0j}
+        assert Multivector.blade(3, [1, 2]).clifford_conjugate().terms == {0b11: -1 + 0j}
+        z = Multivector.scalar(3, 2 - 3j)
         assert z.clifford_conjugate().terms == z.terms
 
     def test_conjugation_is_involution_composition(self):
@@ -204,13 +193,12 @@ class TestInvolutions:
 
 class TestHermitianConjugation:
     def test_scalar_conjugation(self):
-        x = Multivector.scalar(EUCLID_3, 1j)
+        x = Multivector.scalar(3, 1j)
         assert x.dagger().terms == {0: -1j}
 
     def test_maps_witt_element_to_its_dual(self):
-        sig = Signature(2)
-        f = Multivector(sig, {0b01: 0.5, 0b10: -0.5j})
-        fd = Multivector(sig, {0b01: 0.5, 0b10: 0.5j})
+        f = Multivector(2, {0b01: 0.5, 0b10: -0.5j})
+        fd = Multivector(2, {0b01: 0.5, 0b10: 0.5j})
         assert f.dagger().terms == fd.terms
         assert fd.dagger().terms == f.terms
 
@@ -235,13 +223,12 @@ class TestHermitianConjugation:
 
 class TestHermitianInner:
     def test_generator_norm(self):
-        e1 = Multivector.basis_vector(EUCLID_3, 1)
+        e1 = Multivector.basis_vector(3, 1)
         assert hermitian_inner(e1, e1) == 1
 
     def test_witt_idempotent_norm_is_half(self):
-        sig = Signature(2)
-        f = Multivector(sig, {0b01: 0.5, 0b10: -0.5j})
-        fd = Multivector(sig, {0b01: 0.5, 0b10: 0.5j})
+        f = Multivector(2, {0b01: 0.5, 0b10: -0.5j})
+        fd = Multivector(2, {0b01: 0.5, 0b10: 0.5j})
         idem = f * fd
         assert hermitian_inner(idem, idem) == 0.5
 
@@ -260,6 +247,23 @@ class TestHermitianInner:
             x = random_multivector(rng, 4)
             y = random_multivector(rng, 4)
             assert abs(hermitian_inner(x, y) - (x.dagger() * y).scalar_part()) < 1e-12
+
+    def test_matches_signed_formula_bit_for_bit(self):
+        # Reference: the sum with a per-blade sign, reverse(A) times the sign
+        # of A A, which is +1 for every blade when all generators square to +1.
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            dim = int(rng.integers(0, 7))
+            x = random_multivector(rng, dim, nterms=12)
+            y = random_multivector(rng, dim, nterms=12)
+            ref = 0j
+            for m, cx in x.terms.items():
+                cy = y.terms.get(m)
+                if cy is None:
+                    continue
+                ref += cx.conjugate() * cy * (_reverse_sign(m) * blade_product(m, m)[0])
+            got = hermitian_inner(x, y)
+            assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex()), (x, y)
 
     def test_sesquilinearity(self):
         rng = np.random.default_rng(29)
@@ -290,25 +294,24 @@ class TestAlgebraLaws:
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(st.data())
-    def test_associativity_mixed_signature(self, data):
-        sig = data.draw(signatures, label="signature")
-        x, y, z = (data.draw(sparse_multivectors(sig), label=name) for name in "xyz")
+    def test_associativity_exact(self, data):
+        dim = data.draw(dims, label="dim")
+        x, y, z = (data.draw(sparse_multivectors(dim), label=name) for name in "xyz")
         assert ((x * y) * z).terms == (x * (y * z)).terms
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(st.data())
     def test_dagger_is_anti_automorphism(self, data):
-        sig = data.draw(signatures, label="signature")
-        x, y = (data.draw(sparse_multivectors(sig), label=name) for name in "xy")
+        dim = data.draw(dims, label="dim")
+        x, y = (data.draw(sparse_multivectors(dim), label=name) for name in "xy")
         assert (x * y).dagger().terms == (y.dagger() * x.dagger()).terms
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_generator_anticommutation(self, dim):
-        sig = Signature(dim)
         for i in range(1, dim + 1):
             for j in range(1, dim + 1):
-                ei = Multivector.basis_vector(sig, i)
-                ej = Multivector.basis_vector(sig, j)
+                ei = Multivector.basis_vector(dim, i)
+                ej = Multivector.basis_vector(dim, j)
                 anti = ei * ej + ej * ei
                 expected = {0: 2 + 0j} if i == j else {}
                 assert anti.terms == expected
@@ -323,11 +326,11 @@ class TestAlgebraLaws:
 
 class TestExp:
     def test_exp_of_zero(self):
-        zero = Multivector.zero(Signature(2))
+        zero = Multivector.zero(2)
         assert exp_element(zero).terms == {0: 1 + 0j}
 
     def test_scalar_exponential(self):
-        x = Multivector.scalar(Signature(2), 1j * math.pi)
+        x = Multivector.scalar(2, 1j * math.pi)
         got = exp_element(x).scalar_part()
         assert abs(got - (-1)) < 1e-12
 
@@ -359,10 +362,9 @@ class TestExp:
             assert max(abs(a - b) for a, b in zip(amps, acc[:, col])) < 1e-12
 
     def test_non_convergence_raises(self):
-        sig = Signature(4)
-        f1 = Multivector(sig, {0b0001: 0.5, 0b0100: -0.5j})
-        fd1 = Multivector(sig, {0b0001: 0.5, 0b0100: 0.5j})
-        f2 = Multivector(sig, {0b0010: 0.5, 0b1000: -0.5j})
+        f1 = Multivector(4, {0b0001: 0.5, 0b0100: -0.5j})
+        fd1 = Multivector(4, {0b0001: 0.5, 0b0100: 0.5j})
+        f2 = Multivector(4, {0b0010: 0.5, 0b1000: -0.5j})
         x = 50.0 * (fd1 * f1) * (f2 + f2.dagger())
         with pytest.raises(ArithmeticError):
             exp_element(x, max_terms=3)
@@ -370,40 +372,40 @@ class TestExp:
 
 class TestHygiene:
     def test_prune_drops_dust(self):
-        x = Multivector(Signature(2), {0: 1.0, 0b01: 1e-16})
+        x = Multivector(2, {0: 1.0, 0b01: 1e-16})
         assert 0b01 not in x.terms
 
     def test_non_finite_coefficients_kept(self):
-        sig = Signature(2)
-        x = Multivector(sig, {0: math.nan, 0b01: math.inf, 0b10: 1e-16})
+        x = Multivector(2, {0: math.nan, 0b01: math.inf, 0b10: 1e-16})
         assert set(x.terms) == {0, 0b01}
         # sums, negation and scalar products prune through the raw constructor
-        assert math.isnan((Multivector.scalar(sig, math.inf) - Multivector.scalar(sig, math.inf)).terms[0].real)
+        assert math.isnan((Multivector.scalar(2, math.inf) - Multivector.scalar(2, math.inf)).terms[0].real)
         assert set((x * 2.0).terms) == {0, 0b01}
         assert set((-x).terms) == {0, 0b01}
 
     def test_equality_tolerance(self):
-        x = Multivector.scalar(Signature(2), 1.0)
-        y = Multivector.scalar(Signature(2), 1.0 + EQ_TOL / 10)
+        x = Multivector.scalar(2, 1.0)
+        y = Multivector.scalar(2, 1.0 + EQ_TOL / 10)
         assert x == y
-        z = Multivector.scalar(Signature(2), 1.0 + 1e-9)
+        z = Multivector.scalar(2, 1.0 + 1e-9)
         assert x != z
 
     def test_mask_out_of_range(self):
         with pytest.raises(ValueError):
-            Multivector(Signature(2), {0b100: 1.0})
+            Multivector(2, {0b100: 1.0})
 
-    def test_signature_validation(self):
+    def test_generator_count_validation(self):
+        assert Multivector.scalar(64, 1.0).dim == 64
         with pytest.raises(ValueError):
-            Signature(-1)
+            Multivector(-1)
         with pytest.raises(ValueError):
-            Signature(65)
+            Multivector(65)
 
     def test_render_sorted_by_grade(self):
-        x = Multivector(EUCLID_3, {0b11: 1.0, 0: 0.5, 0b100: 2.0})
+        x = Multivector(3, {0b11: 1.0, 0: 0.5, 0b100: 2.0})
         assert x.render() == "(0.5) + (2) e3 + (1) e1e2"
 
     def test_blade_constructor_tracks_order(self):
-        assert Multivector.blade(EUCLID_3, [2, 1]).terms == {0b11: -1 + 0j}
+        assert Multivector.blade(3, [2, 1]).terms == {0b11: -1 + 0j}
         with pytest.raises(ValueError):
-            Multivector.blade(EUCLID_3, [1, 1])
+            Multivector.blade(3, [1, 1])

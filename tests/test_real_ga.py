@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cliffsim.multivector import Multivector, Signature
+from cliffsim.multivector import Multivector
 from cliffsim.real_ga import (
     TensorG3,
     bloch_angles,
@@ -36,9 +36,8 @@ PAULI = {
 
 
 def _c2_witt():
-    sig = Signature(2)
-    f = Multivector(sig, {0b01: 0.5, 0b10: -0.5j})
-    fd = Multivector(sig, {0b01: 0.5, 0b10: 0.5j})
+    f = Multivector(2, {0b01: 0.5, 0b10: -0.5j})
+    fd = Multivector(2, {0b01: 0.5, 0b10: 0.5j})
     return f, fd
 
 
@@ -128,7 +127,7 @@ class TestC2ToG3:
         assert c2_to_g3(fd).terms == (0.5 * (sigma(1) + sigma(1) * sigma(3))).terms
         assert c2_to_g3(f).terms == (0.5 * (sigma(1) - sigma(1) * sigma(3))).terms
         assert c2_to_g3(f * fd).terms == real_idempotent().terms
-        one = Multivector.scalar(Signature(2), 1.0)
+        one = Multivector.scalar(2, 1.0)
         assert c2_to_g3(one).terms == {0: 1 + 0j}
         assert c2_to_g3(1j * one).terms == pseudoscalar().terms
         assert c2_to_g3(1j * f).terms == (0.5 * (sigma(2) * sigma(3) - sigma(2))).terms
@@ -143,11 +142,9 @@ class TestC2ToG3:
         assert report.max_dagger_error == 0.0
 
     def test_images_span_the_real_algebra(self):
-        sig = Signature(2)
         f, fd = _c2_witt()
-        one = Multivector.scalar(sig, 1.0)
-        base = [one, Multivector.basis_vector(sig, 1), Multivector.basis_vector(sig, 2),
-                Multivector(sig, {0b11: 1.0})]
+        one = Multivector.scalar(2, 1.0)
+        base = [one, Multivector.basis_vector(2, 1), Multivector.basis_vector(2, 2), Multivector(2, {0b11: 1.0})]
         elems = base + [1j * x for x in base]
         rows = []
         for x in elems:
@@ -157,7 +154,7 @@ class TestC2ToG3:
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
-            c2_to_g3(Multivector.scalar(Signature(3), 1.0))
+            c2_to_g3(Multivector.scalar(3, 1.0))
 
 
 class TestRealComplexQubit:

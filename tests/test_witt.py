@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffsim.multivector import Multivector, Signature, hermitian_inner
+from cliffsim.multivector import Multivector, hermitian_inner
 from cliffsim.witt import (
     SPINOR_TOL,
     SpinorState,
@@ -220,7 +220,7 @@ class TestIdealMembership:
         rng = np.random.default_rng(700 + n)
         for _ in range(30):
             x = amplitudes_to_state(ctx, rng.normal(size=2**n) + 1j * rng.normal(size=2**n)).value
-            moved = x + Multivector(ctx.signature, {int(rng.integers(4**n)): 1e-3})
+            moved = x + Multivector(ctx.dim, {int(rng.integers(4**n)): 1e-3})
             for element, inside in ((x, True), (moved, False)):
                 by_product = (element * ctx.idempotent).isclose(element, SPINOR_TOL)
                 assert is_spinor(ctx, element) == by_product == inside
@@ -228,7 +228,7 @@ class TestIdealMembership:
     def test_state_requires_matching_algebra(self):
         ctx = WittContext(1)
         with pytest.raises(ValueError):
-            SpinorState(ctx, Multivector.scalar(Signature(4), 1.0))
+            SpinorState(ctx, Multivector.scalar(4, 1.0))
 
 
 class TestAmplitudes:
@@ -287,7 +287,7 @@ class TestWittRendering:
     def test_render_strings(self):
         ctx = WittContext(1)
         assert render_witt(ctx.f(1) + ctx.fdag(1), 1) == "f1 + f1†"
-        assert render_witt(Multivector.zero(ctx.signature), 1) == "0"
+        assert render_witt(Multivector.zero(ctx.dim), 1) == "0"
         z = ctx.proj0(1) - ctx.proj1(1)
         assert render_witt(z, 1) == "1 - 2 f1†f1"
 
@@ -300,9 +300,9 @@ class TestWittRendering:
                 int(rng.integers(0, 16)): complex(rng.normal(), rng.normal())
                 for _ in range(5)
             }
-            mv = Multivector(ctx.signature, terms)
+            mv = Multivector(ctx.dim, terms)
             coords = witt_coordinates(mv, 2)
-            rebuilt = Multivector.zero(ctx.signature)
+            rebuilt = Multivector.zero(ctx.dim)
             for codes, c in coords.items():
                 word = ctx.one()
                 for k, code in enumerate(codes, start=1):
@@ -363,7 +363,7 @@ class TestJordanWignerBridge:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_regroup_sign_matches_inversion_count(self, n):
-        sig = Signature(2 * n)
+        dim = 2 * n
         for mask in range(4**n):
-            blade = Multivector(sig, {mask: 1.0})
+            blade = Multivector(dim, {mask: 1.0})
             assert witt_coordinates(blade, n) == inversion_witt_coordinates(blade, n), mask
