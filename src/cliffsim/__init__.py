@@ -41,10 +41,11 @@ from .witt import (
     amplitudes_to_state,
     basis_state,
     is_spinor,
+    ket_coordinates,
+    paulis_coordinates,
     render_witt,
     spinor_inner,
     state_to_amplitudes,
-    witt_coordinates,
 )
 
 __version__ = "0.1.0"

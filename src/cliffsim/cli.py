@@ -18,7 +18,7 @@ import numpy as np
 from .circuit import CircuitError, parse_bits, parse_circuit, run_clifford
 from .gates import build_gate, gate_spec
 from .matrix_backend import MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
-from .witt import MAX_QUBITS, WittContext, render_witt
+from .witt import MAX_QUBITS, WittContext, amplitudes_to_state, ket_coordinates, paulis_coordinates, render_witt
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -106,29 +106,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     n = circuit.n_qubits
     deviation = None
     passed = True
-    state = None
+    clifford = None
     if args.backend == "both":
         report = compare_backends(circuit, bits, tol=args.tol)
-        amps = report.clifford
+        amps = clifford = report.clifford
         deviation = report.max_deviation
         passed = report.passed
     elif args.backend == "matrix":
         amps = run_matrix(circuit, bits).amplitudes
     else:
-        state = run_clifford(circuit, bits)
-        amps = state.amplitudes
+        amps = clifford = run_clifford(circuit, bits).amplitudes
 
     if args.show_algebra:
         ctx = WittContext(n)
         for op in circuit.ops:
             g = build_gate(ctx, op.name, op.wires, op.params)
             loc = " ".join(map(str, op.wires))
-            print(f"{op.name} {loc}: {render_witt(g.value, n)}")
-        if state is None:
-            state = run_clifford(circuit, bits)
-        value = state.value
-        print(f"state: {render_witt(value, n)}")
-        print(f"state blades: {value.render()}")
+            print(f"{op.name} {loc}: {render_witt(paulis_coordinates(n, g.paulis))}")
+        if clifford is None:
+            clifford = run_clifford(circuit, bits).amplitudes
+        state = amplitudes_to_state(ctx, clifford)
+        print(f"state: {render_witt(ket_coordinates(state))}")
+        print(f"state blades: {state.value.render()}")
 
     if args.json:
         if not _print_run_json(args.backend, amps, deviation):
@@ -250,7 +249,7 @@ def cmd_gate_dump(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"{name} on wires {tuple(wires)} in {n} qubit(s):")
-    print(f"  witt basis: {render_witt(g.value, n)}")
+    print(f"  witt basis: {render_witt(paulis_coordinates(n, g.paulis))}")
     print(f"  blades:     {g.value.render()}")
     return EXIT_OK
 

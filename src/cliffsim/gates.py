@@ -9,7 +9,7 @@ blocks of 2^14 output indices of one gate), and each gate then gathers,
 multiplies and sums its whole table.  ``apply`` is ``apply_all`` of one gate.
 
 The blade form of a gate comes from the one Jordan-Wigner map in ``witt``:
-``GateElement.value`` (for display and algebra) is ``_paulis_to_blades`` of
+``GateElement.value`` (for the blades display and algebra) is ``_paulis_to_blades`` of
 the table, and ``GateElement.from_blades`` turns each blade into its Pauli
 string with ``_pauli_string``.  Building and applying a gate never touch it.
 

@@ -20,6 +20,10 @@ blade form goes through them: a gate's (``gates.GateElement.value``) and a
 state's, the ket A I with A = sum_k a_k X^k (X^k moves I = |0> to |k>);
 ``SpinorState(ctx, x)`` reads the amplitudes back through them too.
 
+The Witt-basis renderer needs no blade form: ``paulis_coordinates`` and
+``ket_coordinates`` read a Pauli table or the amplitudes straight into
+coordinates over per-wire words, which ``render_witt`` prints.
+
 All Witt construction coefficients are dyadic, so the identity suites hold
 with exact floating-point cancellation.
 """
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multivector import Multivector
+from .multivector import PRUNE_EPS, Multivector
 
 SPINOR_TOL = 1e-12
 MAX_QUBITS = 32
@@ -245,68 +249,59 @@ def amplitudes_to_state(ctx: WittContext, amplitudes) -> SpinorState:
 
 # Per-wire word codes: 0 -> 1, 1 -> f_k, 2 -> f_k^dagger, 3 -> f_k^dagger f_k.
 _WORD_NAMES = ("", "f{k}", "f{k}†", "f{k}†f{k}")
+# A Pauli string on one wire as (code, factor) words, by the wire's bits of
+# (x, z ^ U(x)): 1, f + f^dagger, f^dagger - f or 1 - 2 f^dagger f.
+_PAULI_WORDS = {(0, 0): ((0, 1),), (1, 0): ((1, 1), (2, 1)), (1, 1): ((1, -1), (2, 1)), (0, 1): ((0, 1), (3, -2))}
+# A basis word on one wire, by the wire's bit of k: 1 - f^dagger f or f^dagger.
+_KET_WORDS = (((0, 1), (3, -1)), ((2, 1),))
 
 
-def witt_coordinates(mv: Multivector, n: int) -> dict[tuple[int, ...], complex]:
-    """Coordinates of a multivector over ordered products of per-wire words.
-
-    Each wire contributes one factor from (1, f_k, f_k^dagger,
-    f_k^dagger f_k); the key is the tuple of per-wire word codes.
-    """
-    if mv.dim != 2 * n:
-        raise ValueError(f"multivector dim {mv.dim} does not match 2n = {2 * n}")
+def _expand(terms) -> dict[tuple[int, ...], complex]:
+    """Coordinates, keyed by per-wire codes, of the terms (coeff, wires): coeff times each wire's (code, factor) words in wire order."""
     out: dict[tuple[int, ...], complex] = {}
-    for mask, coeff in mv.terms.items():
-        # Regrouping the ascending generators by wire moves each e_{w+n} past
-        # the e_v with v > w: the (-1)^popcount(U(a) & b) of ``_pauli_string``.
-        a = _wire_bits(mask & ((1 << n) - 1), n)
-        b = _wire_bits(mask >> n, n)
-        sign = -1 if (_below(a, n) & b).bit_count() & 1 else 1
-        # Per-wire change of basis to (1, f, fdag, fdag f).
-        words: list[tuple[tuple[int, ...], complex]] = [((), coeff * sign)]
-        for k in range(1, n + 1):
-            has_e = bool(mask & (1 << (k - 1)))
-            has_en = bool(mask & (1 << (k + n - 1)))
-            if not has_e and not has_en:
-                local = {0: 1.0 + 0j}
-            elif has_e and not has_en:
-                local = {1: 1.0 + 0j, 2: 1.0 + 0j}
-            elif has_en and not has_e:
-                local = {1: 1j, 2: -1j}
-            else:
-                local = {0: -1j, 3: 2j}
-            words = [
-                (codes + (code,), c * lc)
-                for codes, c in words
-                for code, lc in local.items()
-            ]
+    for coeff, wires in terms:
+        words = [((), coeff)]
+        for local in wires:
+            words = [(codes + (code,), c * factor) for codes, c in words for code, factor in local]
         for codes, c in words:
             out[codes] = out.get(codes, 0j) + c
     return {codes: c for codes, c in out.items() if abs(c) > 1e-14}
 
 
-def render_witt(mv: Multivector, n: int) -> str:
-    """Render as a sum of words in f_j, f_j^dagger."""
-    coords = witt_coordinates(mv, n)
-    if not coords:
-        return "0"
+def paulis_coordinates(n: int, paulis) -> dict[tuple[int, ...], complex]:
+    """Witt coordinates of the element acting on the amplitudes as the rows (x, z, coeff).
+
+    No sign enters: a blade's regrouping sign (-1)^popcount(U(a) & b) cancels
+    the same factor of its phase, and i e_{w+n} absorbs the (-i)^|b|.
+    """
+    terms = []
+    for x, z, coeff in paulis:
+        b = z ^ _below(x, n)
+        terms.append((coeff, [_PAULI_WORDS[x >> i & 1, b >> i & 1] for i in range(n - 1, -1, -1)]))
+    return _expand(terms)
+
+
+def ket_coordinates(state: SpinorState) -> dict[tuple[int, ...], complex]:
+    """Witt coordinates of the ket: each a_k times its basis word, where |a_k| 2^-n passes the blade form's prune."""
+    n = state.n
+    return _expand(
+        (a, [_KET_WORDS[k >> i & 1] for i in range(n - 1, -1, -1)])
+        for k, a in enumerate(state.amplitudes.tolist())
+        if not abs(a) * 2.0**-n < PRUNE_EPS
+    )
+
+
+def render_witt(coords: dict[tuple[int, ...], complex]) -> str:
+    """Render Witt coordinates as a sum of words in f_j, f_j^dagger: fewest wires first, then by wires and codes."""
 
     def _order(cs: tuple[int, ...]):
         occupied = tuple(k for k, c in enumerate(cs) if c)
         return (len(occupied), occupied, cs)
 
-    parts = []
-    for codes in sorted(coords, key=_order):
-        c = coords[codes]
-        factors = [
-            _WORD_NAMES[code].format(k=k)
-            for k, code in enumerate(codes, start=1)
-            if code
-        ]
-        word = " ".join(factors) if factors else "1"
-        parts.append((c, word))
     pieces = []
-    for i, (c, word) in enumerate(parts):
+    for i, codes in enumerate(sorted(coords, key=_order)):
+        c = coords[codes]
+        word = " ".join(_WORD_NAMES[code].format(k=k) for k, code in enumerate(codes, start=1) if code) or "1"
         if abs(c.imag) < 1e-14 and c.real < 0:
             lead = "- " if i == 0 else " - "
             pieces.append(lead + _coeff_str(-c.real, word))
@@ -316,7 +311,7 @@ def render_witt(mv: Multivector, n: int) -> str:
                 pieces.append(lead + _coeff_str(c.real, word))
             else:
                 pieces.append(f"{lead}({_cplx_str(c)}) {word}")
-    return "".join(pieces)
+    return "".join(pieces) or "0"
 
 
 def _coeff_str(r: float, word: str) -> str:

@@ -12,11 +12,13 @@ import pytest
 
 import cliffsim
 import cliffsim.cli
+import cliffsim.gates
 import cliffsim.matrix_backend
+import cliffsim.witt
 from cliffsim.circuit import CircuitError, parse_circuit, run_bytes, run_clifford
 from cliffsim.cli import main
 from cliffsim.gates import build_gate
-from cliffsim.witt import WittContext, amplitudes_to_state
+from cliffsim.witt import WittContext, _paulis_to_blades, amplitudes_to_state
 
 BELL = "qubits 2\nh 1\ncnot 1 2\n"
 
@@ -266,7 +268,26 @@ class TestRun:
             return run_clifford(*args)
 
         monkeypatch.setattr(cliffsim.cli, "run_clifford", counted)
+        monkeypatch.setattr(cliffsim.matrix_backend, "run_clifford", counted)
+        for backend in ("clifford", "both", "matrix"):
+            calls.clear()
+            assert main(["run", "--show-algebra", "--backend", backend, bell_file]) == 0
+            assert len(calls) == 1, backend
+
+    def test_display_builds_one_blade_form(self, bell_file, capsys, monkeypatch):
+        """The Witt lines come from Pauli tables and amplitudes: only the ``blades:`` line builds a blade form."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _paulis_to_blades(*args)
+
+        monkeypatch.setattr(cliffsim.witt, "_paulis_to_blades", counted)
+        monkeypatch.setattr(cliffsim.gates, "_paulis_to_blades", counted)
         assert main(["run", "--show-algebra", bell_file]) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert main(["gate-dump", "cswap"]) == 0
         assert len(calls) == 1
 
     def test_nan_tolerance_is_not_a_pass(self, bell_file, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffsim.gates import GateElement
 from cliffsim.multivector import Multivector, hermitian_inner
 from cliffsim.witt import (
     SPINOR_TOL,
@@ -14,10 +15,11 @@ from cliffsim.witt import (
     basis_state,
     index_bits,
     is_spinor,
+    ket_coordinates,
+    paulis_coordinates,
     render_witt,
     spinor_inner,
     state_to_amplitudes,
-    witt_coordinates,
 )
 
 
@@ -273,23 +275,28 @@ class TestAmplitudes:
             amplitudes_to_state(ctx, [1, 0])
 
 
+def witt_coordinates(mv):
+    """Witt coordinates of a multivector of the 2n-generator algebra, read from its Pauli table."""
+    return paulis_coordinates(mv.dim // 2, GateElement.from_blades(mv).paulis)
+
+
 class TestWittRendering:
     def test_coordinates_of_x_gate(self):
         ctx = WittContext(1)
-        coords = witt_coordinates(ctx.f(1) + ctx.fdag(1), 1)
+        coords = witt_coordinates(ctx.f(1) + ctx.fdag(1))
         assert coords == {(1,): 1 + 0j, (2,): 1 + 0j}
 
     def test_coordinates_of_idempotent(self):
         ctx = WittContext(1)
-        coords = witt_coordinates(ctx.f(1) * ctx.fdag(1), 1)
+        coords = witt_coordinates(ctx.f(1) * ctx.fdag(1))
         assert coords == {(0,): 1 + 0j, (3,): -1 + 0j}
 
     def test_render_strings(self):
         ctx = WittContext(1)
-        assert render_witt(ctx.f(1) + ctx.fdag(1), 1) == "f1 + f1†"
-        assert render_witt(Multivector.zero(ctx.dim), 1) == "0"
+        assert render_witt(witt_coordinates(ctx.f(1) + ctx.fdag(1))) == "f1 + f1†"
+        assert render_witt(witt_coordinates(Multivector.zero(ctx.dim))) == "0"
         z = ctx.proj0(1) - ctx.proj1(1)
-        assert render_witt(z, 1) == "1 - 2 f1†f1"
+        assert render_witt(witt_coordinates(z)) == "1 - 2 f1†f1"
 
     def test_round_trip_against_products(self):
         # rebuilding from word coordinates reproduces the element
@@ -301,7 +308,7 @@ class TestWittRendering:
                 for _ in range(5)
             }
             mv = Multivector(ctx.dim, terms)
-            coords = witt_coordinates(mv, 2)
+            coords = witt_coordinates(mv)
             rebuilt = Multivector.zero(ctx.dim)
             for codes, c in coords.items():
                 word = ctx.one()
@@ -327,7 +334,7 @@ def seeded_states(n, seed):
 
 
 def inversion_witt_coordinates(mv, n):
-    """``witt_coordinates`` with the regrouping sign counted inversion by inversion."""
+    """Witt coordinates of a multivector, blade by blade, with the regrouping sign counted inversion by inversion."""
     out = {}
     for mask, coeff in mv.terms.items():
         order = [g for k in range(1, n + 1) for g in (k, k + n) if mask >> (g - 1) & 1]
@@ -366,4 +373,21 @@ class TestJordanWignerBridge:
         dim = 2 * n
         for mask in range(4**n):
             blade = Multivector(dim, {mask: 1.0})
-            assert witt_coordinates(blade, n) == inversion_witt_coordinates(blade, n), mask
+            assert witt_coordinates(blade) == inversion_witt_coordinates(blade, n), mask
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_ket_coordinates_match_the_blade_form(self, n):
+        for s in seeded_states(n, 600 + n):
+            coords, reference = ket_coordinates(s), inversion_witt_coordinates(s.value, n)
+            assert coords.keys() == reference.keys()
+            assert all(abs(c - reference[codes]) < 1e-14 for codes, c in coords.items())
+            assert render_witt(coords) == render_witt(reference)
+
+    def test_ket_coordinates_prune_as_the_blade_form(self):
+        # |a| 2^-4 is 6.25e-15 for a = 1e-13, below the blade form's prune, and 1.25e-14 for 2e-13.
+        ctx = WittContext(4)
+        for a, kept in ((1e-13, False), (2e-13, True)):
+            s = amplitudes_to_state(ctx, [a] + [0] * 14 + [1])
+            coords = ket_coordinates(s)
+            assert ((0, 0, 0, 0) in coords) is kept
+            assert coords.keys() == inversion_witt_coordinates(s.value, 4).keys()
