@@ -87,10 +87,12 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
     ``str.splitlines`` (form feed, vertical tab, ``\x1c``-``\x1e``, ``\x85``,
     U+2028, U+2029) is whitespace inside a line.  Lines are split into words
     with ``str.split``; ``_tokens`` finds columns only for the header and for
-    an error.  Each op goes through ``check_op``, so a bad op keeps the
-    message and column of ``gate_words``.  A register of more than
-    ``max_qubits`` wires, or, with ``memory_bytes``, one whose ``run_bytes``
-    exceeds it, is refused at its header.
+    an error.  An op's wire words are converted at once if all are decimal,
+    and its parameter words if all are floats; otherwise ``_lex`` takes them
+    one at a time and refuses the first bad one.  Each op goes through
+    ``check_op``, so a bad op keeps the message and column of ``gate_words``.
+    A register of more than ``max_qubits`` wires, or, with ``memory_bytes``,
+    one whose ``run_bytes`` exceeds it, is refused at its header.
     """
     n_qubits: int | None = None
     ops: list[GateOp] = []
@@ -123,8 +125,15 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
         name = words[0].lower()
         try:
             split = gate_spec(name).wires
-            args = [_lex(word, i, i <= split) for i, word in enumerate(words[1:], start=1)]
-            wires, params = tuple(args[:split]), tuple(args[split:])
+            wire_words = words[1 : split + 1]
+            try:
+                params = tuple(map(float, words[split + 1 :]))
+                wires = tuple(map(int, wire_words)) if "".join(wire_words).isdecimal() else None
+            except ValueError:
+                wires = None
+            if wires is None:  # a bad or missing token: ``_lex`` names and locates the first bad one
+                args = [_lex(word, i, i <= split) for i, word in enumerate(words[1:], start=1)]
+                wires, params = tuple(args[:split]), tuple(args[split:])
             check_op(name, n_qubits, wires, params)
         except GateOpError as exc:
             raise CircuitError(str(exc), lineno, _tokens(raw)[exc.index][1]) from None

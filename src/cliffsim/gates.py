@@ -6,7 +6,9 @@ table straight from the gate's words.  ``apply_all`` applies a sequence of
 gates in batches: the gather indices and signs, which do not depend on the
 amplitudes, are formed at once for a batch (a whole small circuit, or a few
 blocks of 2^14 output indices of one gate), and each gate then gathers,
-multiplies and sums its whole table.  ``apply`` is ``apply_all`` of one gate.
+multiplies and sums its whole table; on a register of one block (n <= 14)
+each gate's sum is reduced straight into a new vector.  ``apply`` is
+``apply_all`` of one gate.
 
 The blade form of a gate comes from the one Jordan-Wigner map in ``witt``:
 ``GateElement.value`` (for the blades display and algebra) is ``_paulis_to_blades`` of
@@ -18,13 +20,16 @@ giving one wire's coordinates on (f_k f_k^dagger, f_k, f_k^dagger,
 f_k^dagger f_k), or None for the identity, per gate wire, e.g.
 CNOT = f_1 f_1^dagger + f_1^dagger f_1 (f_2 + f_2^dagger).  A word is the
 tensor product of its wire operators, expanded into Pauli strings by
-``_pauli_table``; the table depends on the wires only through their order.
-``build_gate``, the one builder of a named gate, scatters the table of that
-order on k wires (``_ORDER_TABLES``, for a parameterless gate): relative index
-bit k - j moves to bit n - sorted(wires)_j.  A hit of ``_order_table``, that
-lookup plus the wire range, passed every check of ``gate_words``, the one
-validator of a gate op, which ``check_op`` (the parser's check) and
-``build_gate`` (so ``gate-dump``) call only on a miss: ``phase``, ``u2`` or a bad op.
+``_pauli_table`` (a one-wire word, ``phase`` or ``u2``, in closed form: its
+four ``_wire_paulis``); the table depends on the wires only through their
+order.  ``build_gate``, the one builder of a named gate, scatters the table
+of that order on k wires (``_ORDER_TABLES``, for a parameterless gate):
+relative index bit k - j moves to bit n - sorted(wires)_j (on one wire w,
+x and z are multiplied by its index bit 1 << (n - w)).  A hit of
+``_order_table``, that lookup plus the wire range, passed every check of
+``gate_words``, the one validator of a gate op, which ``check_op`` (the
+parser's check) and ``build_gate`` (so ``gate-dump``) call only on a miss:
+``phase``, ``u2`` or a bad op.
 """
 
 from __future__ import annotations
@@ -65,9 +70,9 @@ __all__ = [
 
 # coeff * X^x Z^z on the amplitude index bits, Z^z first, as (x, z, coeff).
 PauliTerm = tuple[int, int, complex]
-# A Pauli table as columns, for ``apply``.
+# A Pauli table as columns, for ``apply_all``.
 _PAULI_COLUMNS = np.dtype([("x", np.int64), ("z", np.int64), ("coeff", complex)])
-# Output indices per block of ``apply``.
+# Output indices per block of ``apply_all``.
 _BLOCK = 2**14
 
 
@@ -144,20 +149,36 @@ def ketbra(ctx: WittContext, bits_out, bits_in) -> Multivector:
     return ket * bra
 
 
+def _wire_paulis(bit: int, coords: Coordinates) -> tuple[tuple[complex, int, int], ...]:
+    """A wire operator [[a, b], [c, d]] on index bit ``bit`` as its Pauli parts (p, x, z) in the order I, Z, X, XZ.
+
+    [[a, b], [c, d]] = (a+d)/2 I + (a-d)/2 Z + (b+c)/2 X + (c-b)/2 XZ.
+    """
+    a, b, c, d = coords
+    return (((a + d) / 2, 0, 0), ((a - d) / 2, 0, bit), ((b + c) / 2, bit, 0), ((c - b) / 2, bit, bit))
+
+
 def _pauli_table(n: int, wires: Sequence[int], words: Words) -> tuple[PauliTerm, ...]:
     """Sum of the words on ``wires``, each the tensor product of its wire operators, as Pauli strings.
 
-    A wire operator [[a, b], [c, d]] is (a+d)/2 I + (a-d)/2 Z + (b+c)/2 X + (c-b)/2 XZ.
-    A word expands into Pauli strings over its wires in ascending order; equal
-    strings are summed in order of first appearance and the sums pruned as a
-    ``Multivector`` prunes its terms.
+    A wire operator is its four ``_wire_paulis``.  A word expands into Pauli
+    strings over its wires in ascending order; equal strings are summed in
+    order of first appearance and the sums pruned as a ``Multivector`` prunes
+    its terms.  A one-wire word (``phase``, ``u2``) takes the same steps with
+    no product and no sum.
     """
+    if len(words) == 1 and len(wires) == 1 and words[0][0] is not None:
+        # One word on one wire: the steps of the loop below, whose four strings
+        # are distinct, so each sum is 0j + its one string.  The product with
+        # 1 + 0j is kept: it can flip a zero's sign, or turn the part beside an
+        # infinite one into nan.  abs(0j + coeff) == abs(coeff): one prune does.
+        strings = [(px, pz, (1 + 0j) * p) for p, px, pz in _wire_paulis(1 << (n - wires[0]), words[0][0])]
+        return tuple([(x, z, 0j + coeff) for x, z, coeff in strings if not abs(coeff) < PRUNE_EPS])
     sums: dict[tuple[int, int], complex] = {}
     for word in words:
         strings = [(0, 0, 1 + 0j)]
-        for k, (a, b, c, d) in sorted((k, coords) for k, coords in zip(wires, word) if coords is not None):
-            bit = 1 << (n - k)  # index bit of wire k
-            paulis = (((a + d) / 2, 0, 0), ((a - d) / 2, 0, bit), ((b + c) / 2, bit, 0), ((c - b) / 2, bit, bit))
+        for k, coords in sorted((k, coords) for k, coords in zip(wires, word) if coords is not None):
+            paulis = _wire_paulis(1 << (n - k), coords)
             strings = [
                 (x ^ px, z ^ pz, coeff * p)
                 for x, z, coeff in strings
@@ -242,15 +263,25 @@ def apply_all(gates: Iterable[GateElement], state: SpinorState) -> SpinorState:
         np.copyto(signed, coeff * 1.0)
         np.copyto(signed, coeff * -1.0, where=odd)
         row = 0
-        for _, start, t in units:
-            if start == 0:
-                out = np.empty_like(amps)
-            terms = signed[row : row + t]
-            terms *= amps[source[row : row + t]]
-            np.add.reduce(terms, axis=0, initial=0j, out=out[start : start + width])
-            row += t
-            if start + width == size:
-                amps = out
+        if width == size:
+            # One block: each unit is a whole gate, reduced into a new vector
+            # (axis 0, no dtype, out or keepdims, initial 0j: positional, as
+            # the keywords cost more than the sum of a small gate).
+            for _, _, t in units:
+                terms = signed[row : row + t]
+                terms *= amps[source[row : row + t]]
+                amps = np.add.reduce(terms, 0, None, None, False, 0j)
+                row += t
+        else:
+            for _, start, t in units:
+                if start == 0:
+                    out = np.empty_like(amps)
+                terms = signed[row : row + t]
+                terms *= amps[source[row : row + t]]
+                np.add.reduce(terms, axis=0, initial=0j, out=out[start : start + width])
+                row += t
+                if start + width == size:
+                    amps = out
         # Hold one batch of tables at a time: the next is taken from ``gates`` first.
         del units
     result = object.__new__(SpinorState)
@@ -403,6 +434,8 @@ def _order_table(name: str, n: int, wires: Sequence[int], params: Sequence[float
     """The table of parameterless ``name`` in the order of ``wires`` in 1..n (a repeated wire has no key), or None."""
     if len(params) or not 1 <= len(wires) <= _MAX_ARITY:
         return None
+    if len(wires) == 1:  # order (0,), with nothing to sort
+        return _ORDER_TABLES.get((name, (0,))) if 1 <= wires[0] <= n else None
     s = sorted(wires)
     return _ORDER_TABLES.get((name, tuple(map(s.index, wires)))) if 1 <= s[0] <= s[-1] <= n else None
 
@@ -416,16 +449,21 @@ def check_op(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -
 def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
     """The registry gate ``name`` on ``wires``: the table of their order, scattered to them, rows and coefficients kept.
 
-    On an ``_order_table`` miss (``phase``, ``u2`` or a bad op) its ``gate_words`` are expanded on the register.
+    On an ``_order_table`` miss (``phase``, ``u2`` or a bad op) ``gate_words``
+    checks the op, and ``_pauli_table`` expands its one-wire word in closed
+    form on the register.
     """
     n = ctx.n
     table = _order_table(name, n, wires, params)
     if table is None:
         return GateElement(n, _pauli_table(n, wires, gate_words(name, n, wires, params)))
+    if len(wires) == 1:
+        bit = 1 << (n - wires[0])
+        return GateElement(n, tuple([(bit * x, bit * z, coeff) for x, z, coeff in table]))
     spread = [0]  # relative index mask -> index mask on the register
     for w in sorted(wires, reverse=True):
         spread += [m | 1 << (n - w) for m in spread]
-    return GateElement(n, tuple((spread[x], spread[z], coeff) for x, z, coeff in table))
+    return GateElement(n, tuple([(spread[x], spread[z], coeff) for x, z, coeff in table]))
 
 
 def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:

@@ -62,6 +62,10 @@ class TestParsing:
         circuit = parse_circuit("QUBITS 2\nH 1\nCNOT 1 2\n")
         assert circuit.ops[0].name == "h"
 
+    def test_wire_in_any_decimal_script(self):
+        # U+0661 ARABIC-INDIC DIGIT ONE is decimal, as int() reads it
+        assert parse_circuit("qubits 1\nx \u0661\n").ops == (GateOp("x", (1,)),)
+
     def test_u2_takes_eight_params(self):
         text = "qubits 1\nu2 1 0 0 1 0 1 0 0 0\n"
         circuit = parse_circuit(text)
@@ -112,6 +116,9 @@ class TestDiagnostics:
             ("qubits 1\nx \u00b2\n", 2, 3, "invalid wire '\u00b2'"),
             ("qubits 1\nx 1 foo\n", 2, 5, "invalid parameter 'foo'"),
             ("qubits 1\nphase 1.5\n", 2, 7, "invalid wire '1.5'"),
+            ("qubits 1\nu2 1 0 0 1 0 oops 0 0 0\n", 2, 14, "invalid parameter 'oops'"),
+            ("qubits 3\nccnot 1 2 1.0\n", 2, 11, "invalid wire '1.0'"),
+            ("qubits 1\nphase 1 \u00b2\n", 2, 9, "invalid parameter '\u00b2'"),
         ],
     )
     def test_token_not_lexed(self, text, line, column, message):

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +312,58 @@ class TestRun:
         assert main(["run", "--show-algebra", "--backend", "both", bell_file]) == 0
         out = capsys.readouterr().out
         assert "h 1: " in out and "cnot 1 2: " in out and "PASS" in out
+
+
+# Tokens that mutate a circuit's words: non-finite and overflowing numbers, a
+# non-ASCII decimal digit, hex, NUL, a byte-order mark, and counts out of range.
+MUTATIONS = ["nan", "1e400", "\u0661", "0x10", "\x00", "\ufeff", "0", "33", "-1", "1.5", "\u00b2", "#", "\n"]
+
+
+def mutated_circuit(rng):
+    """A registry circuit on at most 5 qubits, then up to two words replaced, inserted or deleted."""
+    n = rng.randint(1, 5)
+    lines = [["qubits", str(n)]]
+    for _ in range(rng.randint(1, 10)):
+        name = rng.choice([g for g, spec in cliffsim.gates.GATE_SPECS.items() if spec.wires <= n])
+        words = [name, *map(str, rng.sample(range(1, n + 1), cliffsim.gates.GATE_SPECS[name].wires))]
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        if name == "phase":
+            words.append(repr(theta))
+        elif name == "u2":  # [[cos, -sin], [sin, cos]]
+            c, s = math.cos(theta), math.sin(theta)
+            words += map(repr, (c, 0.0, -s, 0.0, s, 0.0, c, 0.0))
+        lines.append(words)
+    for _ in range(rng.randint(0, 2)):
+        words = rng.choice(lines)
+        at = rng.randint(0, len(words))
+        kind = rng.choice(["replace", "replace", "insert", "delete"]) if at < len(words) else "insert"
+        if kind == "delete":
+            del words[at]
+        else:
+            words[at : at + (kind == "replace")] = [rng.choice(MUTATIONS)]
+    return "".join(" ".join(words) + "\n" for words in lines)
+
+
+class TestRunNeverRaises:
+    """``cliffsim run`` on mutated circuits exits 0 or 2, and refuses with one ``error:`` line."""
+
+    def test_mutated_circuits(self, tmp_path, capsys):
+        rng = random.Random(18)
+        path = tmp_path / "mutated.qc"
+        codes = []
+        for _ in range(150):
+            text = mutated_circuit(rng)
+            path.write_text(text, encoding="utf-8")
+            argv = ["run", "--backend", rng.choice(["clifford", "matrix", "both"])]
+            argv += [flag for flag in ("--json", "--probabilities") if rng.random() < 0.5]
+            if rng.random() < 0.3:
+                argv += ["--init", "".join(rng.choice("01") for _ in range(rng.randint(1, 5)))]
+            codes.append(main([*argv, str(path)]))
+            captured = capsys.readouterr()
+            assert codes[-1] in (0, 2), (text, argv)
+            if codes[-1] == 2:
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (text, argv, captured.err)
+        assert {0, 2} <= set(codes)
 
 
 class TestFuzz:

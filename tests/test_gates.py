@@ -34,7 +34,7 @@ from cliffsim.gates import (
     wire_coordinates,
 )
 from cliffsim.matrix_backend import random_unitary_2x2
-from cliffsim.multivector import Multivector, exp_element, hermitian_inner
+from cliffsim.multivector import PRUNE_EPS, Multivector, exp_element, hermitian_inner
 from cliffsim.witt import (
     WittContext,
     amplitudes_to_state,
@@ -694,6 +694,28 @@ def exact_rows(paulis):
     return [(x, z, coeff.real.hex(), coeff.imag.hex()) for x, z, coeff in paulis]
 
 
+def looped_table(n, wires, words):
+    """``_pauli_table`` through its product loop, not the one-wire closed form: each word gets an identity wire."""
+    return _pauli_table(n, (*wires, None), tuple((*word, None) for word in words))
+
+
+# Parameters of phase and u2 where the closed form's signed zeros and pruning
+# show: zero and pi angles; X, Z and -I, also with -0.0 imaginary parts (X's
+# then give (b + c) / 2 = 1 - 0j); and a = 2e-14, which puts (a + d) / 2 and
+# (a - d) / 2 exactly on PRUNE_EPS.
+EDGE_PARAMS = {
+    "phase": [(0.0,), (-0.0,), (math.pi / 2,), (math.pi,)],
+    "u2": [
+        (0, 0, 1, 0, 1, 0, 0, 0),
+        (0, -0.0, 1, -0.0, 1, -0.0, 0, -0.0),
+        (1, 0, 0, 0, 0, 0, -1, 0),
+        (1, -0.0, 0, -0.0, 0, -0.0, -1, -0.0),
+        (-1, -0.0, 0, 0, 0, 0, -1, -0.0),
+        (2e-14, 0, 1, 0, 1, 0, 0, 0),
+    ],
+}
+
+
 class TestOrderTables:
     """``build_gate`` scatters import-time tables; ``_pauli_table`` on the register's own wires is the reference."""
 
@@ -702,10 +724,18 @@ class TestOrderTables:
         # every ordered tuple of distinct wires among the top ``top`` wires of the register
         ctx = WittContext(n)
         for name, spec in GATE_SPECS.items():
-            params = random_params(np.random.default_rng(0), spec)  # one fixed angle and unitary
-            for wires in itertools.permutations(range(n - top + 1, n + 1), spec.wires):
-                reference = _pauli_table(n, wires, gate_words(name, n, wires, params))
-                assert exact_rows(build_gate(ctx, name, wires, params).paulis) == exact_rows(reference), (name, wires)
+            # one fixed angle and unitary, then the edge cases
+            for params in [random_params(np.random.default_rng(0), spec), *EDGE_PARAMS.get(name, [])]:
+                for wires in itertools.permutations(range(n - top + 1, n + 1), spec.wires):
+                    words = gate_words(name, n, wires, params)
+                    reference = exact_rows(_pauli_table(n, wires, words))
+                    assert exact_rows(looped_table(n, wires, words)) == reference, (name, wires, params)
+                    assert exact_rows(build_gate(ctx, name, wires, params).paulis) == reference, (name, wires, params)
+
+    def test_edge_rows_are_kept_on_the_prune_bound(self):
+        # a = 2e-14: the I and Z parts are 1e-14 = PRUNE_EPS, which is kept
+        paulis = build_gate(WittContext(1), "u2", (1,), EDGE_PARAMS["u2"][-1]).paulis
+        assert [(x, z, abs(coeff)) for x, z, coeff in paulis] == [(0, 0, PRUNE_EPS), (0, 1, PRUNE_EPS), (1, 0, 1.0)]
 
 
 class TestLookupParity:
