@@ -70,7 +70,10 @@ def _tokens(text_line: str) -> list[tuple[str, int]]:
 def _lex(word: str, index: int, wire: bool) -> int | float:
     """Token ``index`` of a gate op as a wire (decimal digits) or a parameter (a float)."""
     if wire and word.isdecimal():
-        return int(word)
+        try:
+            return int(word)
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise GateOpError(f"wire of {len(word)} digits is too long", index) from None
     if not wire:
         try:
             return float(word)
@@ -91,6 +94,8 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
     and its parameter words if all are floats; otherwise ``_lex`` takes them
     one at a time and refuses the first bad one.  Each op goes through
     ``check_op``, so a bad op keeps the message and column of ``gate_words``.
+    A wire or qubit-count word of more digits than ``int`` converts is refused
+    at its column.
     A register of more than ``max_qubits`` wires, or, with ``memory_bytes``,
     one whose ``run_bytes`` exceeds it, is refused at its header.
     """
@@ -111,7 +116,10 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
             word, col = toks[1]
             if not word.isdecimal():
                 raise CircuitError(f"invalid qubit count {word!r}", lineno, col)
-            n_qubits = int(word)
+            try:
+                n_qubits = int(word)
+            except ValueError:  # more digits than int() converts
+                raise CircuitError(f"qubit count of {len(word)} digits is too long", lineno, col) from None
             if not 1 <= n_qubits <= max_qubits:
                 raise CircuitError(f"qubit count {n_qubits} out of range 1..{max_qubits}", lineno, col)
             if memory_bytes is not None and run_bytes(n_qubits) > memory_bytes:

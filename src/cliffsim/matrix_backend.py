@@ -14,6 +14,7 @@ import numpy as np
 
 from .circuit import Circuit, GateOp, run_clifford
 from .gates import GATE_SPECS, UNITARY_TOL
+from .multivector import nan_max
 
 MAX_DENSE_QUBITS = 12
 
@@ -212,8 +213,6 @@ def run_fuzz(
 ) -> FuzzReport:
     """Differential sweep of random circuits across both backends."""
     results = []
-    worst = 0.0
-    failures = 0
     for i in range(circuits):
         circuit_seed = seed * 1_000_003 + i
         rng = np.random.default_rng(circuit_seed)
@@ -221,10 +220,9 @@ def run_fuzz(
         depth = int(rng.integers(1, max_depth + 1))
         circuit = random_circuit(rng, n, depth)
         report = compare_backends(circuit, tol=tol)
-        worst = max(worst, report.max_deviation)
-        if not report.passed:
-            failures += 1
         results.append(
             FuzzResult(i, circuit_seed, n, len(circuit.ops), report.max_deviation, report.passed)
         )
+    failures = sum(not r.passed for r in results)
+    worst = nan_max(r.max_deviation for r in results)
     return FuzzReport(seed, circuits, max_qubits, max_depth, tol, results, failures, worst)

@@ -6,6 +6,11 @@ scalar blade 1.  A multivector is a map from blade mask to a complex
 coefficient, pruned of entries below ``PRUNE_EPS``; a non-finite
 coefficient is never pruned.
 
+Every closeness check on algebra elements is ``nan_max(deviations) <= tol``
+or its form over two coefficient maps, ``max_abs_diff(x, y) <= tol``.  NaN
+propagates through both, so a non-finite coefficient is never close to
+anything, itself included (|inf - inf| is NaN).
+
 Sign conventions, per grade-r blade:
 
 * reverse                 (-1)^(r(r-1)/2)
@@ -28,6 +33,24 @@ from typing import Iterable, Mapping
 MAX_GENERATORS = 64
 PRUNE_EPS = 1e-14
 EQ_TOL = 1e-12
+RENDER_DIGITS = 12
+
+
+def nan_max(values: Iterable[float]) -> float:
+    """The largest of ``values`` (0.0 if there are none), or NaN if any is NaN."""
+    # Python's max keeps the first of two unordered values: max(0.0, nan) is 0.0.
+    worst = 0.0
+    for v in values:
+        if v != v:
+            return v
+        if v > worst:
+            worst = v
+    return worst
+
+
+def max_abs_diff(x: Mapping, y: Mapping) -> float:
+    """``nan_max`` of |x[k] - y[k]| over the keys of both maps, a missing key reading 0."""
+    return nan_max(abs(x.get(k, 0) - y.get(k, 0)) for k in x.keys() | y.keys())
 
 
 def _sign_mask(a: int) -> int:
@@ -252,17 +275,11 @@ class Multivector:
     # -- comparison ------------------------------------------------------------
 
     def isclose(self, other: Multivector, tol: float = EQ_TOL) -> bool:
-        if self.dim != other.dim:
-            return False
-        for m in self.terms.keys() | other.terms.keys():
-            if abs(self.terms.get(m, 0j) - other.terms.get(m, 0j)) > tol:
-                return False
-        return True
+        return self.dim == other.dim and max_abs_diff(self.terms, other.terms) <= tol
 
     def max_coeff_diff(self, other: Multivector) -> float:
         self._check_compatible(other)
-        keys = self.terms.keys() | other.terms.keys()
-        return max((abs(self.terms.get(m, 0j) - other.terms.get(m, 0j)) for m in keys), default=0.0)
+        return max_abs_diff(self.terms, other.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):
@@ -301,13 +318,13 @@ def _blade_name(mask: int) -> str:
     return "".join(names)
 
 
-def _format_complex(c: complex, digits: int = 12) -> str:
+def _format_complex(c: complex) -> str:
     re, im = c.real, c.imag
     if abs(im) < PRUNE_EPS:
-        return f"{re:.{digits}g}"
+        return f"{re:.{RENDER_DIGITS}g}"
     if abs(re) < PRUNE_EPS:
-        return f"{im:.{digits}g}i"
-    return f"{re:.{digits}g}{im:+.{digits}g}i"
+        return f"{im:.{RENDER_DIGITS}g}i"
+    return f"{re:.{RENDER_DIGITS}g}{im:+.{RENDER_DIGITS}g}i"
 
 
 def hermitian_inner(x: Multivector, y: Multivector) -> complex:

@@ -19,17 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .multivector import Multivector, blade_product, exp_element
+from .multivector import EQ_TOL, PRUNE_EPS, Multivector, blade_product, exp_element, max_abs_diff, nan_max
 
 G3 = 3
 
 REAL_TOL = 1e-12
 
-_S1 = Multivector.basis_vector(G3, 1)
-_S2 = Multivector.basis_vector(G3, 2)
 _S3 = Multivector.basis_vector(G3, 3)
 _PSEUDO = Multivector(G3, {0b111: 1.0})  # s1 s2 s3, central, squares to -1
 _IDEM_R = Multivector(G3, {0b000: 0.5, 0b100: 0.5})  # (1 + s3)/2
+
+_I_SIGMA3 = Multivector(G3, {0b011: 1.0})  # pseudoscalar * s3 = s1 s2
 
 # Quaternion units in the even subalgebra (Hamilton relations, verified in tests).
 _QI = Multivector(G3, {0b110: -1.0})  # s3 s2
@@ -51,9 +51,9 @@ def real_idempotent() -> Multivector:
 
 
 def require_real(mv: Multivector, tol: float = REAL_TOL) -> None:
-    """Raise if any coefficient has an imaginary part above tol."""
-    worst = max((abs(c.imag) for c in mv.terms.values()), default=0.0)
-    if worst > tol:
+    """Raise if any coefficient has an imaginary part above tol, or a NaN one."""
+    worst = nan_max(abs(c.imag) for c in mv.terms.values())
+    if not worst <= tol:
         raise ValueError(f"element has imaginary coefficients up to {worst:.3e}")
 
 
@@ -84,7 +84,7 @@ def quat_inner(phi: Multivector, psi: Multivector) -> complex:
     """Hermitian product on even elements, complex-valued."""
     prod = phi.reverse() * psi
     re = prod.scalar_part().real
-    im = -(prod * Multivector(G3, {0b011: 1.0})).scalar_part().real
+    im = -(prod * _I_SIGMA3).scalar_part().real
     return complex(re, im)
 
 
@@ -171,7 +171,7 @@ class TensorG3:
             for key, c in terms.items():
                 if len(key) != n or any(not 0 <= m < 8 for m in key):
                     raise ValueError(f"bad tensor key {key!r}")
-                if abs(c) >= 1e-14:
+                if not abs(c) < PRUNE_EPS:
                     self.terms[key] = float(c)
 
     @classmethod
@@ -227,13 +227,8 @@ class TensorG3:
         if self.n != other.n:
             raise ValueError(f"slot count mismatch: {self.n} vs {other.n}")
 
-    def isclose(self, other: TensorG3, tol: float = 1e-12) -> bool:
-        if self.n != other.n:
-            return False
-        for key in self.terms.keys() | other.terms.keys():
-            if abs(self.terms.get(key, 0.0) - other.terms.get(key, 0.0)) > tol:
-                return False
-        return True
+    def isclose(self, other: TensorG3, tol: float = EQ_TOL) -> bool:
+        return self.n == other.n and max_abs_diff(self.terms, other.terms) <= tol
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorG3):
@@ -245,9 +240,6 @@ class TensorG3:
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {c:g}" for k, c in sorted(self.terms.items()))
         return f"<TensorG3 n={self.n} {{{body}}}>"
-
-
-_I_SIGMA3 = Multivector(G3, {0b011: 1.0})  # pseudoscalar * s3 = s1 s2
 
 
 def slot_complex_structure(n: int, k: int) -> TensorG3:
@@ -319,7 +311,7 @@ class IsoReport:
     passed: bool
 
 
-def iso_check(tol: float = 1e-12) -> IsoReport:
+def iso_check(tol: float = EQ_TOL) -> IsoReport:
     """Exhaustive multiplicativity and dagger-transport check of c2_to_g3.
 
     Uses a 16-element real spanning set of the two-generator complex algebra:
@@ -334,14 +326,8 @@ def iso_check(tol: float = 1e-12) -> IsoReport:
     fd = Multivector(2, {0b01: 0.5, 0b10: 0.5j})
     base = [one, e1, e2, e12, f, fd, f * fd, fd * f]
     elems = base + [1j * x for x in base]
-    max_prod = 0.0
-    max_dag = 0.0
-    for x in elems:
-        max_dag = max(max_dag, c2_to_g3(x.dagger()).max_coeff_diff(c2_to_g3(x).reverse()))
-        for y in elems:
-            lhs = c2_to_g3(x * y)
-            rhs = c2_to_g3(x) * c2_to_g3(y)
-            max_prod = max(max_prod, lhs.max_coeff_diff(rhs))
+    max_prod = nan_max(c2_to_g3(x * y).max_coeff_diff(c2_to_g3(x) * c2_to_g3(y)) for x in elems for y in elems)
+    max_dag = nan_max(c2_to_g3(x.dagger()).max_coeff_diff(c2_to_g3(x).reverse()) for x in elems)
     return IsoReport(
         elements=len(elems),
         pairs=len(elems) ** 2,

@@ -265,7 +265,7 @@ def _expand(terms) -> dict[tuple[int, ...], complex]:
             words = [(codes + (code,), c * factor) for codes, c in words for code, factor in local]
         for codes, c in words:
             out[codes] = out.get(codes, 0j) + c
-    return {codes: c for codes, c in out.items() if abs(c) > 1e-14}
+    return {codes: c for codes, c in out.items() if not abs(c) < PRUNE_EPS}
 
 
 def paulis_coordinates(n: int, paulis) -> dict[tuple[int, ...], complex]:

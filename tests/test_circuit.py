@@ -119,6 +119,12 @@ class TestDiagnostics:
             ("qubits 1\nu2 1 0 0 1 0 oops 0 0 0\n", 2, 14, "invalid parameter 'oops'"),
             ("qubits 3\nccnot 1 2 1.0\n", 2, 11, "invalid wire '1.0'"),
             ("qubits 1\nphase 1 \u00b2\n", 2, 9, "invalid parameter '\u00b2'"),
+            # decimal words past int()'s 4300-digit limit, zero-padded ones too
+            pytest.param(f"qubits 2\nx {'1' * 5000}\n", 2, 3, "wire of 5000 digits is too long", id="long-wire"),
+            pytest.param(f"qubits 2\nx {'0' * 4999}1\n", 2, 3, "wire of 5000 digits is too long", id="padded-wire"),
+            pytest.param(f"qubits 2\ncnot 1 {'2' * 4301}\n", 2, 8, "wire of 4301 digits is too long", id="second-wire"),
+            pytest.param(f"qubits {'1' * 5000}\n", 1, 8, "qubit count of 5000 digits is too long", id="long-header"),
+            pytest.param(f"qubits {'0' * 4999}1\n", 1, 8, "qubit count of 5000 digits is too long", id="padded-header"),
         ],
     )
     def test_token_not_lexed(self, text, line, column, message):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, JSON output."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -390,6 +391,28 @@ class TestFuzz:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+    def test_nan_deviation_is_the_maximum(self, capsys, monkeypatch):
+        # circuit 0 reports a NaN deviation; the finite ones after it must not hide it
+        compare = cliffsim.matrix_backend.compare_backends
+        calls = []
+
+        def nan_first(circuit, init_bits=None, tol=1e-9):
+            report = compare(circuit, init_bits, tol)
+            if not calls:
+                report = dataclasses.replace(report, max_deviation=math.nan, passed=False)
+            calls.append(report)
+            return report
+
+        monkeypatch.setattr(cliffsim.matrix_backend, "compare_backends", nan_first)
+        report = cliffsim.matrix_backend.run_fuzz(seed=7, circuits=3)
+        assert math.isnan(report.max_deviation)
+        assert report.failures == 1 and not report.passed
+        calls.clear()
+        assert main(["fuzz", "--seed", "7", "--circuits", "3"]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].endswith("max|d|=nan  FAIL")
+        assert out.splitlines()[-1] == "fuzz summary: 3 circuits, 1 failures, max|d|=nan  FAIL"
 
     @pytest.mark.parametrize(
         "flags", ["--max-qubits 0", "--max-qubits 13", "--depth 0", "--circuits -1", "--seed -1"]

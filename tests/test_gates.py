@@ -437,6 +437,15 @@ class TestUnitarity:
     def test_bare_witt_element_is_not(self, ctx1):
         assert not is_unitary(GateElement.from_blades(ctx1.f(1)))
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0, math.nan), math.inf])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_non_finite_coefficient_is_not(self, ctx1, bad, row):
+        # X plus a zero Z row, with one of the two rows carrying a non-finite coefficient
+        paulis = list(build_gate(ctx1, "x", (1,)).paulis) + [(0, 1, 0j)]
+        x, z, _ = paulis[row]
+        paulis[row] = (x, z, complex(bad))
+        assert not is_unitary(GateElement(1, tuple(paulis)))
+
     def test_gate_element_is_immutable(self, ctx1):
         g = build_gate(ctx1, "x", (1,))
         with pytest.raises(dataclasses.FrozenInstanceError):

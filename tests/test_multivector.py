@@ -15,6 +15,8 @@ from cliffsim.multivector import (
     blade_product,
     exp_element,
     hermitian_inner,
+    max_abs_diff,
+    nan_max,
 )
 
 
@@ -35,6 +37,20 @@ def sparse_multivectors(dim):
     masks = st.integers(0, (1 << dim) - 1)
     coeffs = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
     return st.dictionaries(masks, coeffs, max_size=6).map(lambda terms: Multivector(dim, terms))
+
+
+NON_FINITE = [
+    math.nan, -math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, -math.inf), complex(math.inf, math.nan)
+]
+
+
+@st.composite
+def with_one_non_finite(draw, terms, keys):
+    """``terms`` with one key set to a non-finite coefficient, placed at a drawn position in dict order."""
+    key, bad = draw(keys), draw(st.sampled_from(NON_FINITE))
+    items = [(k, c) for k, c in terms.items() if k != key]
+    items.insert(draw(st.integers(0, len(items))), (key, bad))
+    return dict(items)
 
 
 class TestBladeProduct:
@@ -368,6 +384,43 @@ class TestExp:
         x = 50.0 * (fd1 * f1) * (f2 + f2.dagger())
         with pytest.raises(ArithmeticError):
             exp_element(x, max_terms=3)
+
+
+class TestDeviation:
+    """Every closeness check reads ``nan_max``, which never hides a NaN."""
+
+    def test_nan_max(self):
+        assert nan_max([]) == 0.0
+        assert nan_max([0.5, 2.0, 1.0]) == 2.0
+        assert nan_max([0.0, math.inf]) == math.inf
+        for values in ([math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, math.inf], [math.inf, math.nan]):
+            assert math.isnan(nan_max(values)), values
+            assert not nan_max(values) <= 1.0
+
+    def test_max_abs_diff_reads_missing_keys_as_zero(self):
+        assert max_abs_diff({}, {}) == 0.0
+        assert max_abs_diff({1: 3 + 4j}, {}) == 5.0
+        assert max_abs_diff({1: 1.0, 2: 2.0}, {2: 2.5, 3: -1.5}) == 1.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_non_finite_coefficient_is_never_close(self, data):
+        dim = data.draw(st.integers(1, 6))
+        x = data.draw(sparse_multivectors(dim))
+        terms = data.draw(with_one_non_finite(x.terms, st.integers(0, (1 << dim) - 1)))
+        bad = Multivector(dim, terms)
+        for a, b in ((bad, x), (x, bad), (bad, bad)):
+            assert not a.isclose(b) and not a.isclose(b, 1e300)
+            assert a != b
+            assert not a.max_coeff_diff(b) <= EQ_TOL
+        assert math.isnan(bad.max_coeff_diff(bad))
+        # |c - y| of a NaN c is NaN unless c has an infinite part, whose modulus is inf
+        if any(math.isnan(abs(c)) for c in terms.values()):
+            assert math.isnan(bad.max_coeff_diff(x)) and math.isnan(x.max_coeff_diff(bad))
+
+    def test_nan_is_not_equal_to_the_zero_element(self):
+        assert Multivector(2, {0: math.nan}) != Multivector(2)
+        assert not Multivector(2, {0: math.nan}).isclose(Multivector(2, {0: math.nan}))
 
 
 class TestHygiene:

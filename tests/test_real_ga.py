@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsim.multivector import Multivector
 from cliffsim.real_ga import (
+    _QI,
+    _QJ,
+    _QK,
     TensorG3,
     bloch_angles,
     bloch_verify,
@@ -57,6 +62,18 @@ class TestQuaternionEncoding:
     def test_encoding_is_even(self):
         psi = quat_encode(0.3 + 0.7j, -0.2 + 0.1j)
         assert all(m.bit_count() % 2 == 0 for m in psi.terms)
+
+
+class TestQuaternionUnits:
+    def test_hamilton_relations(self):
+        # i^2 = j^2 = k^2 = ijk = -1, exactly
+        minus_one = Multivector.scalar(3, -1.0)
+        for unit in (_QI, _QJ, _QK):
+            assert (unit * unit).terms == minus_one.terms
+        assert (_QI * _QJ * _QK).terms == minus_one.terms
+        assert (_QI * _QJ).terms == _QK.terms
+        assert (_QJ * _QK).terms == _QI.terms
+        assert (_QK * _QI).terms == _QJ.terms
 
 
 class TestQuaternionInner:
@@ -234,6 +251,28 @@ class TestTensorAndCorrelator:
         assert t.terms == {(0, 0): 1.5}
         assert (0.5 * t).terms == {(0, 0): 0.75}
 
+    def test_nan_term_is_kept(self):
+        t = TensorG3(2, {(0, 0): 1.0, (1, 2): math.nan, (3, 0): 1e-15})
+        assert set(t.terms) == {(0, 0), (1, 2)} and math.isnan(t.terms[1, 2])
+        assert t != TensorG3.scalar(2, 1.0) and TensorG3.scalar(2, 1.0) != t
+        assert not t.isclose(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_non_finite_coefficient_is_never_close(self, data):
+        # One NaN or inf, at a drawn position in dict order, among finite terms
+        n = data.draw(st.integers(1, 3))
+        keys = st.tuples(*[st.integers(0, 7)] * n)
+        finite = st.floats(-4, 4, allow_nan=False)
+        terms = data.draw(st.dictionaries(keys, finite, max_size=6))
+        key, bad = data.draw(keys), data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        items = [(k, c) for k, c in terms.items() if k != key]
+        items.insert(data.draw(st.integers(0, len(items))), (key, bad))
+        x, y = TensorG3(n, terms), TensorG3(n, dict(items))
+        for a, b in ((x, y), (y, x), (y, y)):
+            assert not a.isclose(b) and not a.isclose(b, 1e300)
+            assert a != b
+
 
 class TestBloch:
     def test_north_pole(self):
@@ -296,3 +335,11 @@ class TestRealValidation:
     def test_require_real_rejects_complex(self):
         with pytest.raises(ValueError):
             require_real(1j * sigma(1))
+
+    @pytest.mark.parametrize("imag", [math.nan, math.inf])
+    def test_require_real_rejects_non_finite_imaginary_part(self, imag):
+        # behind a real term and a small imaginary one, in either order
+        for terms in ({0: 1.0, 0b001: 1e-13j, 0b010: complex(0, imag)}, {0b010: complex(1, imag), 0: 1e-13j}):
+            with pytest.raises(ValueError, match="imaginary coefficients up to"):
+                require_real(Multivector(3, terms))
+        require_real(Multivector(3, {0: 1.0, 0b010: 1e-13j}))

@@ -1,5 +1,7 @@
 """Witt basis construction, spinor ideal membership, amplitude extraction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,18 @@ class TestIdealMembership:
         ctx = WittContext(1)
         with pytest.raises(ValueError):
             SpinorState(ctx, Multivector.scalar(4, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 1.0), math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_non_finite_ket_is_not_spinor(self, n, bad):
+        # A NaN or inf on each blade of a ket, on and off the basis words, is never in the ideal.
+        ctx = WittContext(n)
+        ket = amplitudes_to_state(ctx, np.arange(1, 2**n + 1) * (1 + 0.5j)).value
+        for mask in ket.terms:
+            x = Multivector(ctx.dim, {**ket.terms, mask: bad})
+            assert not is_spinor(ctx, x), mask
+            with pytest.raises(ValueError, match="not in the spinor ideal"):
+                SpinorState(ctx, x)
 
 
 class TestAmplitudes:
