@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gates import GateOpError, apply_all, build_gate, check_op, gate_spec
+from .gates import GATE_SPECS, GateOpError, apply_all, build_gate, check_op, gate_spec
 from .witt import MAX_QUBITS, SpinorState, WittContext, basis_state
 
 
@@ -103,8 +103,9 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
     ops: list[GateOp] = []
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    comments = "#" in text
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        words = raw.split("#", 1)[0].split()
+        words = (raw.split("#", 1)[0] if comments else raw).split()
         if not words:
             continue
         if n_qubits is None:
@@ -132,7 +133,7 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
             continue
         name = words[0].lower()
         try:
-            split = gate_spec(name).wires
+            split = (GATE_SPECS.get(name) or gate_spec(name)).wires  # gate_spec only to refuse
             wire_words = words[1 : split + 1]
             try:
                 params = tuple(map(float, words[split + 1 :]))

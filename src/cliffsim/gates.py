@@ -22,10 +22,11 @@ CNOT = f_1 f_1^dagger + f_1^dagger f_1 (f_2 + f_2^dagger).  A word is the
 tensor product of its wire operators, expanded into Pauli strings by
 ``_pauli_table`` (a one-wire word, ``phase`` or ``u2``, in closed form: its
 four ``_wire_paulis``); the table depends on the wires only through their
-order.  ``build_gate``, the one builder of a named gate, scatters the table
-of that order on k wires (``_ORDER_TABLES``, for a parameterless gate):
-relative index bit k - j moves to bit n - sorted(wires)_j (on one wire w,
-x and z are multiplied by its index bit 1 << (n - w)).  A hit of
+order, each wire's rank: the count of the other gate wires below it.
+``build_gate``, the one builder of a named gate, scatters the table of that
+order on k wires (``_ORDER_TABLES``, for a parameterless gate): relative
+index bit j moves to the j-th lowest of the wires' index bits 1 << (n - w),
+with ranks and bits written out per arity up to three and no sort.  A hit of
 ``_order_table``, that lookup plus the wire range, passed every check of
 ``gate_words``, the one validator of a gate op, which ``check_op`` (the
 parser's check) and ``build_gate`` (so ``gate-dump``) call only on a miss:
@@ -338,9 +339,9 @@ CCNOT = _controlled(CNOT)
 CSWAP = _controlled(SWAP)
 
 
-def _u2(*params: float) -> Words:
+def _u2(ar: float, ai: float, br: float, bi: float, cr: float, ci: float, dr: float, di: float) -> Words:
     """[[a, b], [c, d]] from the re/im pairs of a, b, c, d; ValueError unless unitary to UNITARY_TOL."""
-    a, b, c, d = (complex(params[i], params[i + 1]) for i in range(0, 8, 2))
+    a, b, c, d = complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di)
     try:
         err = max(
             abs(abs(a) ** 2 + abs(c) ** 2 - 1.0),
@@ -379,7 +380,8 @@ GATE_SPECS: dict[str, GateSpec] = {
 }
 
 # (name, order) -> the table of a parameterless gate on its own k wires, with
-# order[j] the rank of gate wire j among the sorted wires: data, not a cache.
+# order[j] the rank of gate wire j, the count of gate wires below it: data,
+# not a cache.
 _ORDER_TABLES: dict[tuple[str, tuple[int, ...]], tuple[PauliTerm, ...]] = {
     (name, order): _pauli_table(spec.wires, [r + 1 for r in order], spec.words())
     for name, spec in GATE_SPECS.items()
@@ -414,16 +416,18 @@ def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float])
             f"got {len(wires)} and {len(params)}",
             0,
         )
-    for i, w in enumerate(wires, start=1):
-        if not 1 <= w <= n:
-            raise GateOpError(f"wire {w} out of range 1..{n}", i)
-    for i, w in enumerate(wires, start=1):
-        if w in wires[: i - 1]:
-            raise GateOpError(f"gate {name!r} requires distinct wires, got {tuple(wires)}", i)
+    if len(wires) != 1 or not 1 <= wires[0] <= n:  # one wire in range passes both loops
+        for i, w in enumerate(wires, start=1):
+            if not 1 <= w <= n:
+                raise GateOpError(f"wire {w} out of range 1..{n}", i)
+        for i, w in enumerate(wires, start=1):
+            if w in wires[: i - 1]:
+                raise GateOpError(f"gate {name!r} requires distinct wires, got {tuple(wires)}", i)
     first = 1 + len(wires)
-    for i, p in enumerate(params, start=first):
-        if not math.isfinite(p):
-            raise GateOpError(f"non-finite parameter {p}", i)
+    if not all(map(math.isfinite, params)):
+        for i, p in enumerate(params, start=first):
+            if not math.isfinite(p):
+                raise GateOpError(f"non-finite parameter {p}", i)
     try:
         return spec.words(*params)
     except ValueError as exc:
@@ -431,13 +435,22 @@ def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float])
 
 
 def _order_table(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> tuple[PauliTerm, ...] | None:
-    """The table of parameterless ``name`` in the order of ``wires`` in 1..n (a repeated wire has no key), or None."""
+    """The table of parameterless ``name`` in the order of ``wires`` in 1..n, or None.
+
+    Ranks count the other wires below each wire, by comparisons written out per
+    arity up to ``_MAX_ARITY`` = 3; repeated wires share a rank, so have no key.
+    """
     if len(params) or not 1 <= len(wires) <= _MAX_ARITY:
         return None
-    if len(wires) == 1:  # order (0,), with nothing to sort
+    if len(wires) == 1:
         return _ORDER_TABLES.get((name, (0,))) if 1 <= wires[0] <= n else None
-    s = sorted(wires)
-    return _ORDER_TABLES.get((name, tuple(map(s.index, wires)))) if 1 <= s[0] <= s[-1] <= n else None
+    if len(wires) == 2:
+        a, b = wires
+        return _ORDER_TABLES.get((name, (a > b, b > a))) if 1 <= a <= n and 1 <= b <= n else None
+    a, b, c = wires
+    if not (1 <= a <= n and 1 <= b <= n and 1 <= c <= n):
+        return None
+    return _ORDER_TABLES.get((name, ((a > b) + (a > c), (b > a) + (b > c), (c > a) + (c > b))))
 
 
 def check_op(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> None:
@@ -449,20 +462,27 @@ def check_op(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -
 def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
     """The registry gate ``name`` on ``wires``: the table of their order, scattered to them, rows and coefficients kept.
 
-    On an ``_order_table`` miss (``phase``, ``u2`` or a bad op) ``gate_words``
-    checks the op, and ``_pauli_table`` expands its one-wire word in closed
-    form on the register.
+    ``spread`` maps each relative index mask to the register: relative bit j
+    (bit 0 on the highest-numbered wire) is the j-th lowest of the wires'
+    index bits, peeled off their union t as t & -t.  On an ``_order_table``
+    miss (``phase``, ``u2`` or a bad op) ``gate_words`` checks the op, and
+    ``_pauli_table`` expands its one-wire word in closed form on the register.
     """
     n = ctx.n
     table = _order_table(name, n, wires, params)
     if table is None:
         return GateElement(n, _pauli_table(n, wires, gate_words(name, n, wires, params)))
     if len(wires) == 1:
-        bit = 1 << (n - wires[0])
-        return GateElement(n, tuple([(bit * x, bit * z, coeff) for x, z, coeff in table]))
-    spread = [0]  # relative index mask -> index mask on the register
-    for w in sorted(wires, reverse=True):
-        spread += [m | 1 << (n - w) for m in spread]
+        spread = (0, 1 << (n - wires[0]))
+    elif len(wires) == 2:
+        t = (1 << (n - wires[0])) | (1 << (n - wires[1]))
+        lo = t & -t
+        spread = (0, lo, t ^ lo, t)
+    else:
+        t = (1 << (n - wires[0])) | (1 << (n - wires[1])) | (1 << (n - wires[2]))
+        lo = t & -t
+        mid = (t ^ lo) & -(t ^ lo)
+        spread = (0, lo, mid, lo | mid, t ^ lo ^ mid, t ^ mid, t ^ lo, t)
     return GateElement(n, tuple([(spread[x], spread[z], coeff) for x, z, coeff in table]))
 
 

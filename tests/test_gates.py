@@ -753,7 +753,7 @@ class TestLookupParity:
     ``check_op`` accepts what ``gate_words`` accepts and refuses the rest with its message and index.
     """
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_lookup_implies_gate_words(self, n):
         ctx = WittContext(n)
         rng = np.random.default_rng(n)
@@ -806,9 +806,28 @@ BAD_GATE_OPS = [
     ("cnot", tuple(range(1, 10**5)), ()),  # refused at once, not after ranking every wire
 ]
 
+# Bad ops past the one-wire and rank shortcuts, with the refusal of n = 3
+# pinned: counts, then range, then distinct wires, then the first non-finite
+# parameter, then the word function (the u2 unitarity check).
+REFUSAL_PRECEDENCE = [
+    ("phase", (0,), (math.nan,), "wire 0 out of range 1..3", 1),
+    ("u2", (9,), (2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0), "wire 9 out of range 1..3", 1),
+    ("u2", (1,), (1.0, 0.0, 0.0, math.nan, 0.0, 0.0, math.inf, 0.0), "non-finite parameter nan", 5),
+    ("ccnot", (2, 2, 9), (), "wire 9 out of range 1..3", 3),
+    ("cswap", (3, 1, 3), (), "gate 'cswap' requires distinct wires, got (3, 1, 3)", 3),
+    ("cz", (2, 0), (), "wire 0 out of range 1..3", 2),
+]
+BAD_GATE_OPS += [row[:3] for row in REFUSAL_PRECEDENCE]
+
 
 class TestOpRefusal:
     """A bad op is refused by ``check_op``, ``build_gate`` and ``run_clifford`` exactly as ``gate_words`` refuses it."""
+
+    @pytest.mark.parametrize("name,wires,params,message,index", REFUSAL_PRECEDENCE)
+    def test_precedence(self, name, wires, params, message, index):
+        with pytest.raises(GateOpError) as got:
+            gate_words(name, 3, wires, params)
+        assert (str(got.value), got.value.index) == (message, index)
 
     @pytest.mark.parametrize("name,wires,params", BAD_GATE_OPS)
     def test_same_error_as_gate_words(self, name, wires, params):
