@@ -439,6 +439,8 @@ def _order_table(name: str, n: int, wires: Sequence[int], params: Sequence[float
 
     Ranks count the other wires below each wire, by comparisons written out per
     arity up to ``_MAX_ARITY`` = 3; repeated wires share a rank, so have no key.
+    A three-wire rank is a sum from 0, since numpy adds two ``np.bool_`` as a
+    logical or: numpy-integer wires then rank as np.int64, which hashes as int.
     """
     if len(params) or not 1 <= len(wires) <= _MAX_ARITY:
         return None
@@ -450,7 +452,7 @@ def _order_table(name: str, n: int, wires: Sequence[int], params: Sequence[float
     a, b, c = wires
     if not (1 <= a <= n and 1 <= b <= n and 1 <= c <= n):
         return None
-    return _ORDER_TABLES.get((name, ((a > b) + (a > c), (b > a) + (b > c), (c > a) + (c > b))))
+    return _ORDER_TABLES.get((name, (0 + (a > b) + (a > c), 0 + (b > a) + (b > c), 0 + (c > a) + (c > b))))
 
 
 def check_op(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> None:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cliffsim
@@ -23,6 +24,25 @@ from cliffsim.gates import build_gate
 from cliffsim.witt import WittContext, _paulis_to_blades, amplitudes_to_state
 
 BELL = "qubits 2\nh 1\ncnot 1 2\n"
+
+# The directory that holds the package under test, for PYTHONPATH in a child process.
+SRC = str(Path(cliffsim.__file__).parent.parent)
+
+# Every registry gate on unsorted wires, on 5 qubits.
+ORDERS5 = (
+    "qubits 5\nh 1\nh 3\nh 5\nx 4\ny 2\nz 5\ns 1\nphase 3 0.7\nu2 2 0 0 1 0 1 0 0 0\n"
+    "cnot 4 2\ncz 4 1\nswap 5 2\nccnot 5 1 3\ncswap 3 5 1\nccnot 2 4 1\ncswap 4 1 2\ncnot 1 5\n"
+)
+
+# Every multi-wire gate on unsorted wires at the dense oracle's 12-qubit cap.
+CAP12 = "".join(
+    [
+        "qubits 12\n",
+        *(f"h {w}\n" for w in range(1, 13)),
+        "cnot 9 3\ncz 12 1\nswap 7 2\nccnot 11 4 6\ncswap 5 12 8\ncnot 2 10\nccnot 3 1 9\ncswap 10 6 1\n",
+        *(f"phase {w} 0.3\n" for w in range(1, 13)),
+    ]
+)
 
 # `cliffsim run ARGS...` in a fresh process; prints its exit code and the rise
 # in peak RSS, in bytes, to stderr.  VmHWM, unlike ru_maxrss, does not carry
@@ -181,6 +201,12 @@ class TestRun:
         [
             ("qubits 40\nx 1\n", "line 1, column 8"),
             ("qubits 1\nu2 1 2 0 0 0 0 0 1 0\n", "line 2, column 6"),
+            # a repeated wire behind a tab, refused at the second wire
+            pytest.param("qubits 2\ncnot\t1 1\n", "line 2, column 8", id="tab-repeated-wire"),
+            # a form feed is whitespace, not a line end: the bad op is on line 3
+            pytest.param("qubits 2\n\f\nx 9\n", "line 3, column 3", id="form-feed"),
+            # past int()'s 4300-digit limit
+            pytest.param(f"qubits 2\nx {'1' * 5000}\n", "line 2, column 3", id="5000-digit-wire"),
         ],
     )
     def test_invalid_circuit_exits_2(self, tmp_path, capsys, text, location):
@@ -248,7 +274,7 @@ class TestRun:
         n = 16
         path = tmp_path / "ladder.qc"
         path.write_text(ladder(n))
-        env = {**os.environ, "PYTHONPATH": str(Path(cliffsim.__file__).parent.parent)}
+        env = {**os.environ, "PYTHONPATH": SRC}
         proc = subprocess.run(
             [sys.executable, "-c", PEAK_GROWTH_OF_RUN, "--json", str(path)],
             stdout=subprocess.DEVNULL,
@@ -292,6 +318,20 @@ class TestRun:
         assert main(["gate-dump", "cswap"]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("tol", ["1e-9", "0.25"])
+    def test_finite_tolerance_is_used(self, bell_file, capsys, monkeypatch, tol):
+        # the README's `run --backend both --json --tol 1e-9 bell.qc`
+        tols = []
+
+        def spy(circuit, init_bits=None, tol=1e-9):
+            tols.append(tol)
+            return cliffsim.matrix_backend.compare_backends(circuit, init_bits, tol)
+
+        monkeypatch.setattr(cliffsim.cli, "compare_backends", spy)
+        assert main(["run", "--backend", "both", "--json", "--tol", tol, bell_file]) == 0
+        assert tols == [float(tol)]
+        assert json.loads(capsys.readouterr().out)["deviation"] < 1e-9
+
     def test_nan_tolerance_is_not_a_pass(self, bell_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--backend", "both", "--tol", "nan", bell_file])
@@ -313,6 +353,54 @@ class TestRun:
         assert main(["run", "--show-algebra", "--backend", "both", bell_file]) == 0
         out = capsys.readouterr().out
         assert "h 1: " in out and "cnot 1 2: " in out and "PASS" in out
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            pytest.param(ORDERS5, ["--backend", "both"], id="orders5-both"),
+            pytest.param(ORDERS5, ["--show-algebra", "--backend", "matrix"], id="orders5-show-algebra-matrix"),
+            pytest.param(CAP12, ["--backend", "both"], id="cap12-both"),
+        ],
+    )
+    def test_every_gate_on_unsorted_wires(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "c.qc"
+        path.write_text(text)
+        assert main(["run", *flags, str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if "both" in flags:
+            assert lines[-1].startswith("backend deviation max|d| = ") and lines[-1].endswith("  PASS")
+        if "--show-algebra" in flags:
+            ops = parse_circuit(text).ops
+            heads = [f"{op.name} {' '.join(map(str, op.wires))}" for op in ops]
+            assert [line.split(":")[0] for line in lines[: len(ops)]] == heads
+
+    def test_ladder_above_the_oracle_cap_matches_its_closed_form(self, tmp_path, capsys):
+        # n = 16 runs in blocks of 2^14 outputs: |k> ends at 2^(-n/2) exp(i sum_w 0.25 w b_w(k))
+        n = 16
+        path = tmp_path / "ladder.qc"
+        path.write_text(ladder(n))
+        assert main(["run", "--json", str(path)]) == 0
+        pairs = np.array(json.loads(capsys.readouterr().out)["amplitudes"])
+        assert pairs.shape == (2**n, 2)
+        k = np.arange(2**n)
+        angle = sum(0.25 * w * (k >> (n - w) & 1) for w in range(1, n + 1))
+        want = 2 ** (-n / 2) * np.exp(1j * angle)
+        assert np.abs(pairs[:, 0] + 1j * pairs[:, 1] - want).max() <= 1e-12
+        assert abs(math.fsum((pairs * pairs).sum(axis=1)) - 1) <= 1e-12
+
+    def test_module_run_in_a_process(self, bell_file, capsys):
+        # `python -m cliffsim.cli` prints what `main` prints and exits with its code
+        assert main(["run", "--backend", "both", bell_file]) == 0
+        expected = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliffsim.cli", "run", "--backend", "both", bell_file],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=60,
+            check=False,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 # Tokens that mutate a circuit's words: non-finite and overflowing numbers, a
@@ -369,10 +457,11 @@ class TestRunNeverRaises:
 
 class TestFuzz:
     def test_small_sweep(self, capsys):
-        assert main(["fuzz", "--seed", "7", "--circuits", "5"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 6  # five circuits + summary
-        assert "fuzz summary" in out
+        for argv, circuits in [(["--seed", "7", "--circuits", "5"], 5), (["--circuits", "20", "--max-qubits", "3"], 20)]:
+            assert main(["fuzz", *argv]) == 0
+            out = capsys.readouterr().out
+            assert out.count("PASS") == circuits + 1  # each circuit + summary
+            assert "fuzz summary" in out
 
     def test_json_summary(self, capsys):
         assert main(["fuzz", "--seed", "7", "--circuits", "4", "--json"]) == 0
@@ -422,6 +511,36 @@ class TestFuzz:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flags.split()[0] in captured.err
+
+    def test_depth_beyond_memory_exits_2(self, capsys, monkeypatch):
+        # one circuit of --depth ops, each up to _FUZZ_OP_BYTES, must fit in physical memory
+        monkeypatch.setattr(cliffsim.cli, "_physical_memory", lambda: 10 * cliffsim.cli._FUZZ_OP_BYTES)
+        argv = ["fuzz", "--circuits", "1", "--max-qubits", "1"]
+        assert main([*argv, "--depth", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --depth 11 needs about ") and "physical memory" in captured.err
+        assert main([*argv, "--depth", "10"]) == 0
+
+    def test_huge_depth_is_refused_before_drawing(self):
+        # in a process with a 256 MiB address space, so that a missing refusal fails fast instead of thrashing
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliffsim.cli", "fuzz", "--depth", "1000000000000", "--circuits", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=limit,
+            timeout=60,
+            check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: --depth 1000000000000 needs about ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, tol):

@@ -774,6 +774,8 @@ class TestLookupParity:
                             assert (str(got.value), got.value.index) == (str(exc), exc.index)
                             continue
                         check_op(name, n, wires, params)  # accepts it
+                        # numpy-integer wires find the same table
+                        assert _order_table(name, n, tuple(map(np.int64, wires)), params) is table, (name, wires)
                         if table is None:
                             assert params, (name, wires)  # a valid parameterless op must hit
                             continue

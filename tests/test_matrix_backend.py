@@ -82,6 +82,12 @@ class TestRunMatrix:
     def test_initial_bits(self):
         state = run_matrix(Circuit(2, ()), init_bits=(1, 0))
         assert np.allclose(state.amplitudes, [0, 0, 1, 0])
+        with pytest.raises(ValueError, match="expected 2 bits, got 1"):
+            run_matrix(Circuit(2, ()), init_bits=(1,))
+
+    def test_register_above_the_cap_refused(self):
+        with pytest.raises(ValueError, match="matrix backend capped at 12 qubits"):
+            run_matrix(Circuit(13, ()))
 
     def test_norm_preserved_per_gate(self):
         rng = np.random.default_rng(47)

@@ -446,6 +446,9 @@ class TestHygiene:
     def test_mask_out_of_range(self):
         with pytest.raises(ValueError):
             Multivector(2, {0b100: 1.0})
+        for j in (0, 3):
+            with pytest.raises(ValueError, match=f"generator index {j} out of range 1..2"):
+                Multivector.basis_vector(2, j)
 
     def test_generator_count_validation(self):
         assert Multivector.scalar(64, 1.0).dim == 64

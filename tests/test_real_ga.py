@@ -245,6 +245,16 @@ class TestTensorAndCorrelator:
             correlator(4)
         with pytest.raises(ValueError):
             TensorG3.from_slot(2, 3, sigma(1))
+        for n in (0, 4):
+            with pytest.raises(ValueError, match=f"tensor slot count {n} out of range 1..3"):
+                TensorG3(n)
+        for key in ((0,), (0, 8), (0, -1)):
+            with pytest.raises(ValueError, match="bad tensor key"):
+                TensorG3(2, {key: 1.0})
+        with pytest.raises(ValueError, match="slot elements must have three generators"):
+            TensorG3.from_slot(2, 1, Multivector.scalar(2, 1.0))
+        with pytest.raises(ValueError, match="slot count mismatch: 2 vs 3"):
+            TensorG3.scalar(2, 1.0) * TensorG3.scalar(3, 1.0)
 
     def test_scalar_arithmetic(self):
         t = TensorG3.scalar(2, 2.0) - TensorG3.scalar(2, 0.5)

@@ -233,6 +233,12 @@ class TestIdealMembership:
         ctx = WittContext(1)
         with pytest.raises(ValueError):
             SpinorState(ctx, Multivector.scalar(4, 1.0))
+        other = basis_state(WittContext(2), [0, 1])
+        with pytest.raises(ValueError, match="state qubit count does not match context"):
+            state_to_amplitudes(ctx, other)
+        for x, y in ((other, basis_state(ctx, [0])), (basis_state(ctx, [0]), other)):
+            with pytest.raises(ValueError, match="state qubit count does not match context"):
+                spinor_inner(ctx, x, y)
 
     @pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 1.0), math.inf, -math.inf])
     @pytest.mark.parametrize("n", [1, 2, 3])
