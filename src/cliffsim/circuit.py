@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gates import GATE_SPECS, GateOpError, apply_all, build_gate, check_op, gate_spec
+from .gates import GATE_SPECS, GateOpError, _apply_tables, _gate_table, check_op, gate_spec
 from .witt import MAX_QUBITS, SpinorState, WittContext, basis_state
 
 
@@ -44,8 +44,10 @@ def run_bytes(n_qubits: int) -> int:
     """Estimated peak memory of `run_clifford`, and of `cliffsim run`, on an n-qubit register.
 
     A run holds a gate's input and output amplitude vectors (16 * 2^n bytes
-    each) and one batch of `apply_all` temporaries, which take a fixed few
-    MiB whatever n (2 MiB for a batch of small gates, about 6 MiB for one
+    each) and one batch of the kernel's temporaries: the batch's tables and
+    their three flat columns (x masks, z masks, coefficients), and its source,
+    parity and signed coefficients at 32 bytes per entry, which take a fixed
+    few MiB whatever n (2 MiB for a batch of small gates, about 6 MiB for one
     8-string gate).  `cliffsim run --json` writes its output a block at a
     time.  Measured peak-RSS growth per run at n = 16..22 (Python 3.11,
     numpy 2.4) was 2.05-2.8 vectors at n >= 18 and 5.1-5.3 one-MiB vectors
@@ -171,10 +173,14 @@ def parse_bits(text: str, n: int) -> tuple[int, ...]:
 def run_clifford(circuit: Circuit, init_bits=None) -> SpinorState:
     """Evaluate the circuit in the Clifford-algebra backend.
 
-    The gates are built as ``apply_all`` takes them, so a run holds one batch
-    of Pauli tables at a time whatever the circuit's length.
+    Each op's table comes from ``gates._gate_table``, the builder behind
+    ``build_gate``, and goes straight to the kernel behind ``apply_all``: the
+    run builds no ``GateElement`` and no row.  Tables are built as the kernel
+    takes them, so a run holds one batch of tables and its columns at a time
+    whatever the circuit's length.
     """
-    ctx = WittContext(circuit.n_qubits)
-    bits = tuple(init_bits) if init_bits is not None else (0,) * circuit.n_qubits
-    gates = (build_gate(ctx, op.name, op.wires, op.params) for op in circuit.ops)
-    return apply_all(gates, basis_state(ctx, bits))
+    n = circuit.n_qubits
+    ctx = WittContext(n)
+    bits = tuple(init_bits) if init_bits is not None else (0,) * n
+    tables = (_gate_table(op.name, n, op.wires, op.params) for op in circuit.ops)
+    return _apply_tables(tables, basis_state(ctx, bits))

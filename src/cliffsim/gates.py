@@ -1,13 +1,18 @@
 """Quantum gates as unitary elements of the 2n-generator complex Clifford algebra.
 
-A gate is held as its Pauli table (``GateElement.paulis``): the ordered
-strings coeff * X^x Z^z that it is on the amplitudes.  The builders write the
-table straight from the gate's words.  ``apply_all`` applies a sequence of
-gates in batches: the gather indices and signs, which do not depend on the
-amplitudes, are formed at once for a batch (a whole small circuit, or a few
-blocks of 2^14 output indices of one gate), and each gate then gathers,
-multiplies and sums its whole table; on a register of one block (n <= 14)
-each gate's sum is reduced straight into a new vector.  ``apply`` is
+A gate is a Pauli table: the ordered strings coeff * X^x Z^z that it is on
+the amplitudes.  ``GateElement.paulis`` holds it as rows (x, z, coeff); the
+one kernel, ``_apply_tables``, takes each gate's table as columns, the
+gate's masks and per string the positions of its x and z masks among them
+and its coefficient.  It applies a sequence of tables in batches: a batch's
+x masks, z masks and coefficients become three flat columns, then arrays;
+the gather indices and signs, which do not depend on the amplitudes, are
+formed at once for the batch (a whole small circuit, or a few blocks of
+2^14 output indices of one gate), and each gate then gathers, multiplies and
+sums its whole table; on a register of one block (n <= 14) each gate's sum is
+reduced straight into a new vector.  ``apply_all`` feeds the kernel from
+``GateElement.paulis``, and ``circuit.run_clifford`` from the ops, through
+``_gate_table``, with no ``GateElement`` and no row built.  ``apply`` is
 ``apply_all`` of one gate.
 
 The blade form of a gate comes from the one Jordan-Wigner map in ``witt``:
@@ -19,18 +24,20 @@ Each registry gate in ``GATE_SPECS`` is data: a sum of words, each word
 giving one wire's coordinates on (f_k f_k^dagger, f_k, f_k^dagger,
 f_k^dagger f_k), or None for the identity, per gate wire, e.g.
 CNOT = f_1 f_1^dagger + f_1^dagger f_1 (f_2 + f_2^dagger).  A word is the
-tensor product of its wire operators, expanded into Pauli strings by
-``_pauli_table`` (a one-wire word, ``phase`` or ``u2``, in closed form: its
-four ``_wire_paulis``); the table depends on the wires only through their
-order, each wire's rank: the count of the other gate wires below it.
-``build_gate``, the one builder of a named gate, scatters the table of that
-order on k wires (``_ORDER_TABLES``, for a parameterless gate): relative
-index bit j moves to the j-th lowest of the wires' index bits 1 << (n - w),
-with ranks and bits written out per arity up to three and no sort.  A hit of
-``_order_table``, that lookup plus the wire range, passed every check of
+tensor product of its wire operators, expanded into the columns of its Pauli
+strings by ``_pauli_table`` (a one-wire word, ``phase`` or ``u2``, in closed
+form: its four ``_wire_paulis``); the table depends on the wires only through
+their order, each wire's rank: the count of the other gate wires below it.
+``_gate_table``, the one builder of a named gate, behind both ``build_gate``
+and the run path, reads the table of that order on k wires (``_ORDER_TABLES``,
+for a parameterless gate, held as columns) through the op's spread: relative
+index mask r becomes spread[r], relative bit j the j-th lowest of the wires'
+index bits 1 << (n - w), with ranks and bits written out per arity up to
+three and no sort.  A hit of ``_order_table``, that lookup plus the wires
+being integers (``operator.index``) in range, passed every check of
 ``gate_words``, the one validator of a gate op, which ``check_op`` (the
-parser's check) and ``build_gate`` (so ``gate-dump``) call only on a miss:
-``phase``, ``u2`` or a bad op.
+parser's check) and ``_gate_table`` call only on a miss: ``phase``, ``u2`` or
+a bad op.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -71,9 +79,14 @@ __all__ = [
 
 # coeff * X^x Z^z on the amplitude index bits, Z^z first, as (x, z, coeff).
 PauliTerm = tuple[int, int, complex]
-# A Pauli table as columns, for ``apply_all``.
-_PAULI_COLUMNS = np.dtype([("x", np.int64), ("z", np.int64), ("coeff", complex)])
-# Output indices per block of ``apply_all``.
+# A Pauli table as columns: its x masks, z masks and coefficients, one entry per string.
+Columns = tuple[Sequence[int], Sequence[int], Sequence[complex]]
+# A Pauli table as the kernel reads it, (masks, x, z, coeffs): string i is
+# coeffs[i] * X^masks[x[i]] Z^masks[z[i]].  An op's is its order table read
+# through the op's spread; a GateElement's is its columns read through the
+# identity on the register's masks, range(2^n).
+SpreadTable = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[complex]]
+# Output indices per block of the kernel, ``_apply_tables``.
 _BLOCK = 2**14
 
 
@@ -134,7 +147,7 @@ def super_tensor(ctx: WittContext, factors: Sequence[Multivector | None]) -> Gat
     if len(factors) != ctx.n:
         raise ValueError(f"expected {ctx.n} factors, got {len(factors)}")
     word = tuple(None if f is None else wire_coordinates(ctx, f, k) for k, f in enumerate(factors, start=1))
-    return GateElement(ctx.n, _pauli_table(ctx.n, range(1, ctx.n + 1), (word,)))
+    return GateElement(ctx.n, tuple(zip(*_pauli_table(ctx.n, range(1, ctx.n + 1), (word,)))))
 
 
 def gate_identity(ctx: WittContext) -> GateElement:
@@ -159,8 +172,8 @@ def _wire_paulis(bit: int, coords: Coordinates) -> tuple[tuple[complex, int, int
     return (((a + d) / 2, 0, 0), ((a - d) / 2, 0, bit), ((b + c) / 2, bit, 0), ((c - b) / 2, bit, bit))
 
 
-def _pauli_table(n: int, wires: Sequence[int], words: Words) -> tuple[PauliTerm, ...]:
-    """Sum of the words on ``wires``, each the tensor product of its wire operators, as Pauli strings.
+def _pauli_table(n: int, wires: Sequence[int], words: Words) -> Columns:
+    """Sum of the words on ``wires``, each the tensor product of its wire operators, as Pauli-string columns.
 
     A wire operator is its four ``_wire_paulis``.  A word expands into Pauli
     strings over its wires in ascending order; equal strings are summed in
@@ -173,8 +186,14 @@ def _pauli_table(n: int, wires: Sequence[int], words: Words) -> tuple[PauliTerm,
         # are distinct, so each sum is 0j + its one string.  The product with
         # 1 + 0j is kept: it can flip a zero's sign, or turn the part beside an
         # infinite one into nan.  abs(0j + coeff) == abs(coeff): one prune does.
-        strings = [(px, pz, (1 + 0j) * p) for p, px, pz in _wire_paulis(1 << (n - wires[0]), words[0][0])]
-        return tuple([(x, z, 0j + coeff) for x, z, coeff in strings if not abs(coeff) < PRUNE_EPS])
+        xs, zs, coeffs = [], [], []
+        for p, px, pz in _wire_paulis(1 << (n - wires[0]), words[0][0]):
+            coeff = (1 + 0j) * p
+            if not abs(coeff) < PRUNE_EPS:
+                xs.append(px)
+                zs.append(pz)
+                coeffs.append(0j + coeff)
+        return xs, zs, coeffs
     sums: dict[tuple[int, int], complex] = {}
     for word in words:
         strings = [(0, 0, 1 + 0j)]
@@ -189,49 +208,54 @@ def _pauli_table(n: int, wires: Sequence[int], words: Words) -> tuple[PauliTerm,
         for x, z, coeff in strings:
             # 0j + turns a -0.0 part into +0.0, as the blade product does.
             sums[x, z] = sums.get((x, z), 0j) + coeff
-    return tuple((x, z, coeff) for (x, z), coeff in sums.items() if not abs(coeff) < PRUNE_EPS)
+    kept = [(xz, coeff) for xz, coeff in sums.items() if not abs(coeff) < PRUNE_EPS]
+    return [x for (x, _), _ in kept], [z for (_, z), _ in kept], [coeff for _, coeff in kept]
 
 
-def _batches(gates: Iterable[GateElement], n: int, size: int) -> Iterator[list[tuple[tuple[PauliTerm, ...], int, int]]]:
-    """The gates' units (table, start, rows) in order, grouped into batches.
+def _batches(tables: Iterable[SpreadTable], size: int) -> Iterator[tuple[list[SpreadTable], list[int]]]:
+    """The tables' units in order, grouped into batches of (tables, starts).
 
-    A unit is one gate on the block of at most ``_BLOCK`` output indices from
-    ``start``, with one row per string of its table.  A batch takes
-    consecutive units while its rows times the block width fit in
-    4 * _BLOCK entries, and always holds at least one.
-    Gates are taken from ``gates`` only as the batches need them.
+    A unit is one table on the block of at most ``_BLOCK`` output indices from
+    its start.  A batch takes consecutive units while their strings times the
+    block width fit in 4 * _BLOCK entries, and always holds at least one.
+    Tables are taken from ``tables`` only as the batches need them.
     """
     width = min(size, _BLOCK)
-    units, rows = [], 0
-    for k, g in enumerate(gates):
-        if g.n != n:
-            raise ValueError(f"gate {k} acts on {g.n} qubits, state has {n}")
-        t = len(g.paulis)
-        for start in range(0, size, _BLOCK):
-            if units and (rows + t) * width > 4 * _BLOCK:
-                yield units
-                units, rows = [], 0
-            units.append((g.paulis, start, t))
+    blocks = range(0, size, _BLOCK)
+    batch: list[SpreadTable] = []
+    starts: list[int] = []
+    rows = 0
+    for table in tables:
+        t = len(table[3])
+        for start in blocks:
+            if batch and (rows + t) * width > 4 * _BLOCK:
+                yield batch, starts
+                batch, starts, rows = [], [], 0
+            batch.append(table)
+            starts.append(start)
             rows += t
-    if units:
-        yield units
+    if batch:
+        yield batch, starts
 
 
-def apply_all(gates: Iterable[GateElement], state: SpinorState) -> SpinorState:
-    """Left multiplication of the state by each gate element in turn.
+def _apply_tables(tables: Iterable[SpreadTable], state: SpinorState) -> SpinorState:
+    """Left multiplication of the state by each table in turn: the kernel of ``apply_all`` and ``run_clifford``.
 
-    Each Pauli string of a gate is a signed permutation of the amplitudes,
+    Each Pauli string is a signed permutation of the amplitudes,
     out[i] = sum over the table of coeff * (-1)^popcount((i ^ x) & z) * a[i ^ x].
     The gather indices i ^ x and the signed coefficients do not depend on the
     amplitudes, so they are formed once per batch of units (``_batches``): a
     whole circuit of a few hundred strings at n <= 7, a few blocks of one
-    gate at n >= 15.  Per unit only the gather, the product and the sum over
-    the table remain.  The sum runs in table order from +0.0, so each
-    amplitude is the same sequence of operations as one string at a time.
+    gate at n >= 15.  A batch's x masks, z masks and coefficients are read
+    into three flat columns and turned into arrays.  Per unit only the
+    gather, the product and the sum over the table remain.  The sum runs in
+    table order from +0.0, so each amplitude is the same sequence of
+    operations as one string at a time.
 
-    Besides the input and output vectors, a run holds one batch: its source,
-    parity and signed coefficients (32 bytes per entry, at most 4 * _BLOCK
-    entries unless one unit has more) and one unit's gather.
+    Besides the input and output vectors, a run holds one batch: its tables
+    and starts, its three columns as lists and as arrays, its source, parity
+    and signed coefficients (32 bytes per entry, at most 4 * _BLOCK entries
+    unless one unit has more) and one unit's gather.
     """
     ctx, amps = state.ctx, state.amplitudes
     # The caller's reference is its own: dropping this one frees an input the
@@ -243,24 +267,26 @@ def apply_all(gates: Iterable[GateElement], state: SpinorState) -> SpinorState:
     # Reused by every batch and grown only for a larger one: arrays allocated
     # afresh per batch were returned to the system and faulted in again.
     work = None
-    for units in _batches(gates, ctx.n, size):
-        # a list, since numpy reads the outer tuple of a tuple of tuples as one record
-        table = np.array([p for paulis, _, _ in units for p in paulis], dtype=_PAULI_COLUMNS).reshape(-1, 1)
-        if work is None or table.size > len(work[0]):
+    for batch, starts in _batches(tables, size):
+        counts = [len(coeffs) for _, _, _, coeffs in batch]
+        xs = np.array([m[i] for m, x, _, _ in batch for i in x], np.int64).reshape(-1, 1)
+        rows = xs.size
+        if work is None or rows > len(work[0]):
             # Free the smaller buffers, and the last batch's views of them, first.
             work = source = parity = signed = terms = None
-            work = [np.empty((table.size, width), dtype) for dtype in (np.int64, np.int64, complex)]
-        source, parity, signed = [w[: table.size] for w in work]
+            work = [np.empty((rows, width), dtype) for dtype in (np.int64, np.int64, complex)]
+        source, parity, signed = [w[:rows] for w in work]
         # The output index is start + lane = start ^ lane, as start is a multiple of the width.
-        np.bitwise_xor(lane, table["x"], out=source)
+        np.bitwise_xor(lane, xs, out=source)
         if width < size:
-            source ^= np.array([start for _, start, _ in units]).repeat([t for _, _, t in units]).reshape(-1, 1)
-        np.bitwise_and(source, table["z"], out=parity)
+            source ^= np.array(starts).repeat(counts).reshape(-1, 1)
+        zs = np.array([m[i] for m, _, z, _ in batch for i in z], np.int64).reshape(-1, 1)
+        np.bitwise_and(source, zs, out=parity)
         # bitwise_count is uint8: take the parity, never 1 - 2 * count.
         odd = (np.bitwise_count(parity) & 1).view(bool)
         # Each entry is coeff * 1.0 or coeff * -1.0, the product itself (not
         # coeff or -coeff, whose zeros may differ in sign).
-        coeff = table["coeff"]
+        coeff = np.array([c for _, _, _, coeffs in batch for c in coeffs], complex).reshape(-1, 1)
         np.copyto(signed, coeff * 1.0)
         np.copyto(signed, coeff * -1.0, where=odd)
         row = 0
@@ -268,13 +294,13 @@ def apply_all(gates: Iterable[GateElement], state: SpinorState) -> SpinorState:
             # One block: each unit is a whole gate, reduced into a new vector
             # (axis 0, no dtype, out or keepdims, initial 0j: positional, as
             # the keywords cost more than the sum of a small gate).
-            for _, _, t in units:
+            for t in counts:
                 terms = signed[row : row + t]
                 terms *= amps[source[row : row + t]]
                 amps = np.add.reduce(terms, 0, None, None, False, 0j)
                 row += t
         else:
-            for _, start, t in units:
+            for start, t in zip(starts, counts):
                 if start == 0:
                     out = np.empty_like(amps)
                 terms = signed[row : row + t]
@@ -283,11 +309,28 @@ def apply_all(gates: Iterable[GateElement], state: SpinorState) -> SpinorState:
                 row += t
                 if start + width == size:
                     amps = out
-        # Hold one batch of tables at a time: the next is taken from ``gates`` first.
-        del units
+        # Hold one batch at a time: the next is taken from ``tables`` first.
+        del batch, starts
     result = object.__new__(SpinorState)
     _freeze(result, ctx, amps)
     return result
+
+
+def _element_tables(gates: Iterable[GateElement], n: int) -> Iterator[SpreadTable]:
+    """Each gate's ``paulis`` as a spread table, taken as it is needed; ValueError for a gate of another register."""
+    identity = range(1 << n)
+    for k, g in enumerate(gates):
+        if g.n != n:
+            raise ValueError(f"gate {k} acts on {g.n} qubits, state has {n}")
+        yield identity, [x for x, _, _ in g.paulis], [z for _, z, _ in g.paulis], [coeff for _, _, coeff in g.paulis]
+
+
+def apply_all(gates: Iterable[GateElement], state: SpinorState) -> SpinorState:
+    """Left multiplication of the state by each gate element in turn: ``_apply_tables`` of their ``paulis``.
+
+    Gates are taken from ``gates`` only as the batches need them.
+    """
+    return _apply_tables(_element_tables(gates, state.ctx.n), state)
 
 
 def apply(g: GateElement, state: SpinorState) -> SpinorState:
@@ -382,8 +425,8 @@ GATE_SPECS: dict[str, GateSpec] = {
 # (name, order) -> the table of a parameterless gate on its own k wires, with
 # order[j] the rank of gate wire j, the count of gate wires below it: data,
 # not a cache.
-_ORDER_TABLES: dict[tuple[str, tuple[int, ...]], tuple[PauliTerm, ...]] = {
-    (name, order): _pauli_table(spec.wires, [r + 1 for r in order], spec.words())
+_ORDER_TABLES: dict[tuple[str, tuple[int, ...]], Columns] = {
+    (name, order): tuple(map(tuple, _pauli_table(spec.wires, [r + 1 for r in order], spec.words())))
     for name, spec in GATE_SPECS.items()
     if not spec.params
     for order in itertools.permutations(range(spec.wires))
@@ -416,12 +459,17 @@ def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float])
             f"got {len(wires)} and {len(params)}",
             0,
         )
-    if len(wires) != 1 or not 1 <= wires[0] <= n:  # one wire in range passes both loops
+    if len(wires) != 1 or type(wires[0]) is not int or not 1 <= wires[0] <= n:  # one int in range passes both loops
+        ints = []
         for i, w in enumerate(wires, start=1):
-            if not 1 <= w <= n:
+            try:
+                ints.append(index(w))
+            except TypeError:
+                raise GateOpError(f"invalid wire {w!r}", i) from None
+            if not 1 <= ints[-1] <= n:
                 raise GateOpError(f"wire {w} out of range 1..{n}", i)
-        for i, w in enumerate(wires, start=1):
-            if w in wires[: i - 1]:
+        for i, w in enumerate(ints, start=1):
+            if w in ints[: i - 1]:
                 raise GateOpError(f"gate {name!r} requires distinct wires, got {tuple(wires)}", i)
     first = 1 + len(wires)
     if not all(map(math.isfinite, params)):
@@ -434,25 +482,30 @@ def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float])
         raise GateOpError(str(exc), first) from None
 
 
-def _order_table(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> tuple[PauliTerm, ...] | None:
-    """The table of parameterless ``name`` in the order of ``wires`` in 1..n, or None.
+def _order_table(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> Columns | None:
+    """The table of parameterless ``name`` in the order of ``wires``, integers in 1..n, or None.
 
-    Ranks count the other wires below each wire, by comparisons written out per
-    arity up to ``_MAX_ARITY`` = 3; repeated wires share a rank, so have no key.
-    A three-wire rank is a sum from 0, since numpy adds two ``np.bool_`` as a
-    logical or: numpy-integer wires then rank as np.int64, which hashes as int.
+    Each wire is taken through ``operator.index``, so a numpy integer hits and
+    a float or a string misses.  Ranks count the other wires below each wire,
+    by comparisons written out per arity up to ``_MAX_ARITY`` = 3; repeated
+    wires share a rank, so have no key.
     """
     if len(params) or not 1 <= len(wires) <= _MAX_ARITY:
         return None
-    if len(wires) == 1:
-        return _ORDER_TABLES.get((name, (0,))) if 1 <= wires[0] <= n else None
-    if len(wires) == 2:
-        a, b = wires
-        return _ORDER_TABLES.get((name, (a > b, b > a))) if 1 <= a <= n and 1 <= b <= n else None
-    a, b, c = wires
+    try:
+        if len(wires) == 1:
+            return _ORDER_TABLES.get((name, (0,))) if 1 <= index(wires[0]) <= n else None
+        if len(wires) == 2:
+            a, b = wires
+            a, b = index(a), index(b)
+            return _ORDER_TABLES.get((name, (a > b, b > a))) if 1 <= a <= n and 1 <= b <= n else None
+        a, b, c = wires
+        a, b, c = index(a), index(b), index(c)
+    except TypeError:  # a wire that is not an integer
+        return None
     if not (1 <= a <= n and 1 <= b <= n and 1 <= c <= n):
         return None
-    return _ORDER_TABLES.get((name, (0 + (a > b) + (a > c), 0 + (b > a) + (b > c), 0 + (c > a) + (c > b))))
+    return _ORDER_TABLES.get((name, ((a > b) + (a > c), (b > a) + (b > c), (c > a) + (c > b))))
 
 
 def check_op(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> None:
@@ -461,31 +514,42 @@ def check_op(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -
         gate_words(name, n, wires, params)
 
 
-def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
-    """The registry gate ``name`` on ``wires``: the table of their order, scattered to them, rows and coefficients kept.
+def _gate_table(name: str, n: int, wires: Sequence[int], params: Sequence[float]) -> SpreadTable:
+    """The registry gate ``name`` on ``wires`` of n qubits: the table of their order, read through their spread.
 
-    ``spread`` maps each relative index mask to the register: relative bit j
-    (bit 0 on the highest-numbered wire) is the j-th lowest of the wires'
-    index bits, peeled off their union t as t & -t.  On an ``_order_table``
-    miss (``phase``, ``u2`` or a bad op) ``gate_words`` checks the op, and
-    ``_pauli_table`` expands its one-wire word in closed form on the register.
+    The one builder of a gate: ``build_gate`` writes its rows, and
+    ``run_clifford`` feeds it to the kernel.  The spread maps each relative
+    index mask to the register: relative bit j (bit 0 on the highest-numbered
+    wire) is the j-th lowest of the wires' index bits, peeled off their union
+    t as t & -t.  On an ``_order_table`` miss (``phase``, ``u2`` or a bad op)
+    ``gate_words`` checks the op, and ``_pauli_table`` expands its word, one
+    word on one wire for every registry gate with parameters, in closed form
+    on a wire of its own.
     """
-    n = ctx.n
     table = _order_table(name, n, wires, params)
     if table is None:
-        return GateElement(n, _pauli_table(n, wires, gate_words(name, n, wires, params)))
+        table = _pauli_table(1, (1,), gate_words(name, n, wires, params))
     if len(wires) == 1:
-        spread = (0, 1 << (n - wires[0]))
+        spread = (0, 1 << (n - index(wires[0])))
     elif len(wires) == 2:
-        t = (1 << (n - wires[0])) | (1 << (n - wires[1]))
+        a, b = wires
+        t = (1 << (n - index(a))) | (1 << (n - index(b)))
         lo = t & -t
         spread = (0, lo, t ^ lo, t)
     else:
-        t = (1 << (n - wires[0])) | (1 << (n - wires[1])) | (1 << (n - wires[2]))
+        a, b, c = wires
+        t = (1 << (n - index(a))) | (1 << (n - index(b))) | (1 << (n - index(c)))
         lo = t & -t
         mid = (t ^ lo) & -(t ^ lo)
         spread = (0, lo, mid, lo | mid, t ^ lo ^ mid, t ^ mid, t ^ lo, t)
-    return GateElement(n, tuple([(spread[x], spread[z], coeff) for x, z, coeff in table]))
+    return spread, *table
+
+
+def build_gate(ctx: WittContext, name: str, wires: Sequence[int], params: Sequence[float] = ()) -> GateElement:
+    """The registry gate ``name`` on ``wires``: the rows of ``_gate_table``, coefficients kept; GateOpError unless valid."""
+    spread, xs, zs, coeffs = _gate_table(name, ctx.n, wires, params)
+    rows = [(spread[x], spread[z], coeff) for x, z, coeff in zip(xs, zs, coeffs)]
+    return GateElement(ctx.n, tuple(rows))
 
 
 def gate_from_u2(ctx: WittContext, k: int, matrix) -> GateElement:

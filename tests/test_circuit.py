@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cliffsim.circuit import (
     run_bytes,
     run_clifford,
 )
-from cliffsim.gates import GATE_SPECS, GateElement, build_gate
+from cliffsim.gates import GATE_SPECS, GateElement
 from cliffsim.matrix_backend import random_circuit, random_unitary_2x2
 from cliffsim.witt import state_to_amplitudes
 
@@ -318,6 +319,16 @@ class TestRunClifford:
         state = run_clifford(circuit)
         assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-10
 
+    def test_run_path_builds_no_gate_element(self, monkeypatch):
+        # each op's table goes straight from the builder to the kernel
+        def refuse(*args):
+            raise AssertionError("run_clifford built a GateElement")
+
+        monkeypatch.setattr(GateElement, "__init__", refuse)
+        circuit = random_circuit(np.random.default_rng(152), 4, 60)
+        assert {op.name for op in circuit.ops} == set(GATE_SPECS)
+        run_clifford(circuit)
+
     def test_run_path_never_builds_the_blade_form(self, monkeypatch):
         # gates are built and applied as Pauli tables; the blade form is for display alone
         import sys
@@ -345,33 +356,17 @@ class TestRunClifford:
         state = run_clifford(circuit)
         assert np.max(np.abs(state.amplitudes - run_matrix(circuit).amplitudes)) < 1e-10
 
-    def test_run_holds_one_batch_of_gate_tables(self, monkeypatch):
-        # Gates are built as the kernel takes them, so the most Pauli tables
-        # alive at once does not grow with the circuit; holding every table
-        # would.  (A tracemalloc peak cannot tell: the interpreter's tuple free
-        # lists keep filling with the tables' tuples over the first ~10^4 gates.)
-        import cliffsim.circuit
+    def test_run_holds_one_batch_of_gate_tables(self):
+        # Tables are built as the kernel takes them, so a run's peak memory
+        # does not grow with the circuit; building every table first would.
+        def run_peak(circuit):
+            tracemalloc.start()
+            try:
+                run_clifford(circuit)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        def most_alive(circuit):
-            alive = most = 0
-
-            class Table(tuple):
-                """A Pauli table that counts itself out when it is freed."""
-
-                def __del__(self):
-                    nonlocal alive
-                    alive -= 1
-
-            def counted(*args):
-                nonlocal alive, most
-                g = build_gate(*args)
-                alive += 1
-                most = max(most, alive)
-                return GateElement(g.n, Table(g.paulis))
-
-            monkeypatch.setattr(cliffsim.circuit, "build_gate", counted)
-            run_clifford(circuit)
-            return most
-
-        short, long = (most_alive(random_circuit(np.random.default_rng(d), 4, d)) for d in (2000, 20000))
-        assert long <= 1.2 * short
+        short, long = (random_circuit(np.random.default_rng(d), 4, d) for d in (2000, 20000))
+        run_clifford(short)  # fill the interpreter's free lists before either peak is taken
+        assert run_peak(long) <= 1.2 * run_peak(short)

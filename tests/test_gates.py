@@ -18,6 +18,7 @@ from cliffsim.gates import (
     GateElement,
     GateOpError,
     _batches,
+    _element_tables,
     _order_table,
     _pauli_table,
     apply,
@@ -33,7 +34,7 @@ from cliffsim.gates import (
     super_tensor,
     wire_coordinates,
 )
-from cliffsim.matrix_backend import random_unitary_2x2
+from cliffsim.matrix_backend import random_circuit, random_unitary_2x2
 from cliffsim.multivector import PRUNE_EPS, Multivector, exp_element, hermitian_inner
 from cliffsim.witt import (
     WittContext,
@@ -538,7 +539,7 @@ class TestApplication:
         repeats = 4 * _BLOCK // (2**n * sum(sizes)) + 1 if n >= 4 else 1
         gates = [GateElement(n, random_table(rng, n, size)) for size in sizes * repeats]
         if n >= 4:
-            assert len(list(_batches(gates, n, 2**n))) > 1
+            assert len(list(_batches(_element_tables(gates, n), 2**n))) > 1
         s = amplitudes_to_state(WittContext(n), random_amplitudes(rng, n))
         assert apply_all(gates, s).amplitudes.tobytes() == chained_per_string_apply(gates, s).tobytes()
 
@@ -703,9 +704,14 @@ def exact_rows(paulis):
     return [(x, z, coeff.real.hex(), coeff.imag.hex()) for x, z, coeff in paulis]
 
 
+def pauli_rows(n, wires, words):
+    """The columns of ``_pauli_table`` as rows (x, z, coeff)."""
+    return tuple(zip(*_pauli_table(n, wires, words)))
+
+
 def looped_table(n, wires, words):
     """``_pauli_table`` through its product loop, not the one-wire closed form: each word gets an identity wire."""
-    return _pauli_table(n, (*wires, None), tuple((*word, None) for word in words))
+    return pauli_rows(n, (*wires, None), tuple((*word, None) for word in words))
 
 
 # Parameters of phase and u2 where the closed form's signed zeros and pruning
@@ -737,7 +743,7 @@ class TestOrderTables:
             for params in [random_params(np.random.default_rng(0), spec), *EDGE_PARAMS.get(name, [])]:
                 for wires in itertools.permutations(range(n - top + 1, n + 1), spec.wires):
                     words = gate_words(name, n, wires, params)
-                    reference = exact_rows(_pauli_table(n, wires, words))
+                    reference = exact_rows(pauli_rows(n, wires, words))
                     assert exact_rows(looped_table(n, wires, words)) == reference, (name, wires, params)
                     assert exact_rows(build_gate(ctx, name, wires, params).paulis) == reference, (name, wires, params)
 
@@ -780,7 +786,7 @@ class TestLookupParity:
                             assert params, (name, wires)  # a valid parameterless op must hit
                             continue
                         hits += 1
-                        reference = _pauli_table(n, wires, words)
+                        reference = pauli_rows(n, wires, words)
                         assert exact_rows(build_gate(ctx, name, wires, params).paulis) == exact_rows(reference)
         # each parameterless gate on every ordered tuple of distinct wires
         assert hits == sum(math.perm(n, s.wires) for s in GATE_SPECS.values() if not s.params)
@@ -809,8 +815,9 @@ BAD_GATE_OPS = [
 ]
 
 # Bad ops past the one-wire and rank shortcuts, with the refusal of n = 3
-# pinned: counts, then range, then distinct wires, then the first non-finite
-# parameter, then the word function (the u2 unitarity check).
+# pinned: counts, then each wire in turn an integer in range, then distinct
+# wires, then the first non-finite parameter, then the word function (the u2
+# unitarity check).
 REFUSAL_PRECEDENCE = [
     ("phase", (0,), (math.nan,), "wire 0 out of range 1..3", 1),
     ("u2", (9,), (2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0), "wire 9 out of range 1..3", 1),
@@ -818,8 +825,12 @@ REFUSAL_PRECEDENCE = [
     ("ccnot", (2, 2, 9), (), "wire 9 out of range 1..3", 3),
     ("cswap", (3, 1, 3), (), "gate 'cswap' requires distinct wires, got (3, 1, 3)", 3),
     ("cz", (2, 0), (), "wire 0 out of range 1..3", 2),
+    ("ccnot", (0, 1.5, 2), (), "wire 0 out of range 1..3", 1),
+    ("cswap", (2, 2, 1.5), (), "invalid wire 1.5", 3),
 ]
 BAD_GATE_OPS += [row[:3] for row in REFUSAL_PRECEDENCE]
+# A wire is what operator.index accepts: no float, integral or not, and no string.
+BAD_GATE_OPS += [("x", (1.5,), ()), ("x", (1.0,), ()), ("cnot", (1, 2.0), ()), ("x", ("1",), ())]
 
 
 class TestOpRefusal:
@@ -842,8 +853,41 @@ class TestOpRefusal:
         with pytest.raises(GateOpError) as got:
             build_gate(WittContext(n), name, wires, params)
         assert (str(got.value), got.value.index) == (str(expected.value), expected.value.index)
-        # a hand-built circuit is not parsed: its run meets the op only in build_gate
+        # a hand-built circuit is not parsed: its run meets the op only in the builder
         circuit = Circuit(n, (GateOp("h", (1,)), GateOp(name, wires, params), GateOp("x", (2,))))
         with pytest.raises(GateOpError) as got:
             run_clifford(circuit)
         assert (str(got.value), got.value.index) == (str(expected.value), expected.value.index)
+
+    def test_bool_and_numpy_wires_are_their_integers(self):
+        # operator.index accepts both: True is wire 1, and np.int64(3) is wire 3
+        ctx = WittContext(3)
+        expected = build_gate(ctx, "cnot", (1, 3)).paulis
+        for wires in [(True, 3), (np.int64(1), np.int64(3)), (True, np.int64(3))]:
+            check_op("cnot", 3, wires, ())
+            assert _order_table("cnot", 3, wires, ()) is _order_table("cnot", 3, (1, 3), ())
+            assert build_gate(ctx, "cnot", wires).paulis == expected
+        check_op("phase", 3, (True,), (0.5,))
+        as_int = (GateOp("h", (1,)), GateOp("phase", (1,), (0.5,)), GateOp("cnot", (1, 3)))
+        as_bool = (GateOp("h", (True,)), GateOp("phase", (True,), (0.5,)), GateOp("cnot", (True, 3)))
+        expected = run_clifford(Circuit(3, as_int)).amplitudes
+        assert run_clifford(Circuit(3, as_bool)).amplitudes.tobytes() == expected.tobytes()
+
+
+class TestFrontEnds:
+    """``run_clifford`` and ``apply_all`` over ``build_gate`` feed one kernel: their amplitudes agree bit for bit."""
+
+    # From n = 4 each circuit fills more than one batch (below, it is one
+    # batch); at n = 14 a batch holds at most four strings, and at n = 15 and
+    # 16 each gate spans two and four blocks.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 14, 15, 16])
+    def test_run_clifford_equals_apply_all_of_built_gates(self, n):
+        depth = 4 * _BLOCK // 2**n if 4 <= n <= 6 else 30
+        circuit = random_circuit(np.random.default_rng(4000 + n), n, depth)
+        assert {"u2", "phase"} <= {op.name for op in circuit.ops}
+        ctx = WittContext(n)
+        gates = [build_gate(ctx, op.name, op.wires, op.params) for op in circuit.ops]
+        if n >= 4:
+            assert len(list(_batches(_element_tables(gates, n), 2**n))) > 1
+        expected = apply_all(gates, basis_state(ctx, (0,) * n)).amplitudes
+        assert run_clifford(circuit).amplitudes.tobytes() == expected.tobytes()
