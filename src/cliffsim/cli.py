@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import CircuitError, parse_bits, parse_circuit, run_clifford
 from .gates import build_gate, gate_spec
-from .matrix_backend import MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
+from .matrix_backend import BACKEND_TOL, MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
 from .witt import MAX_QUBITS, WittContext, amplitudes_to_state, ket_coordinates, paulis_coordinates, render_witt
 
 EXIT_OK = 0
@@ -282,7 +282,7 @@ def _run_arguments(run: argparse.ArgumentParser) -> None:
     run.add_argument("--probabilities", action="store_true")
     run.add_argument("--show-algebra", action="store_true")
     run.add_argument("--json", action="store_true")
-    run.add_argument("--tol", type=_tolerance, default=1e-9)
+    run.add_argument("--tol", type=_tolerance, default=BACKEND_TOL)
 
 
 def _fuzz_arguments(fuzz: argparse.ArgumentParser) -> None:
@@ -290,7 +290,7 @@ def _fuzz_arguments(fuzz: argparse.ArgumentParser) -> None:
     fuzz.add_argument("--circuits", type=int, default=200)
     fuzz.add_argument("--max-qubits", type=int, default=4)
     fuzz.add_argument("--depth", type=int, default=20)
-    fuzz.add_argument("--tol", type=_tolerance, default=1e-9)
+    fuzz.add_argument("--tol", type=_tolerance, default=BACKEND_TOL)
     fuzz.add_argument("--json", action="store_true")
 
 

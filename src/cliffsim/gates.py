@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .multivector import PRUNE_EPS, Multivector
-from .witt import SpinorState, WittContext, _freeze, _pauli_string, _paulis_to_blades, basis_state, state_to_amplitudes
+from .witt import SpinorState, WittContext, _pauli_string, _paulis_to_blades, basis_state, state_to_amplitudes
 
 UNITARY_TOL = 1e-10
 
@@ -311,9 +311,7 @@ def _apply_tables(tables: Iterable[SpreadTable], state: SpinorState) -> SpinorSt
                     amps = out
         # Hold one batch at a time: the next is taken from ``tables`` first.
         del batch, starts
-    result = object.__new__(SpinorState)
-    _freeze(result, ctx, amps)
-    return result
+    return SpinorState._wrap(ctx, amps)
 
 
 def _element_tables(gates: Iterable[GateElement], n: int) -> Iterator[SpreadTable]:
@@ -338,12 +336,12 @@ def apply(g: GateElement, state: SpinorState) -> SpinorState:
     return apply_all((g,), state)
 
 
-def is_unitary(g: GateElement, tol: float = UNITARY_TOL) -> bool:
-    """Checks g^dagger g = 1 and g g^dagger = 1."""
+def is_unitary(g: GateElement) -> bool:
+    """Checks g^dagger g = 1 and g g^dagger = 1 to ``UNITARY_TOL``."""
     value = g.value
     one = Multivector.scalar(value.dim, 1.0)
     dag = value.dagger()
-    return (dag * value).isclose(one, tol) and (value * dag).isclose(one, tol)
+    return (dag * value).isclose(one, UNITARY_TOL) and (value * dag).isclose(one, UNITARY_TOL)
 
 
 def measure_probabilities(ctx: WittContext, state: SpinorState) -> list[float]:
@@ -472,9 +470,17 @@ def gate_words(name: str, n: int, wires: Sequence[int], params: Sequence[float])
             if w in ints[: i - 1]:
                 raise GateOpError(f"gate {name!r} requires distinct wires, got {tuple(wires)}", i)
     first = 1 + len(wires)
-    if not all(map(math.isfinite, params)):
+    try:
+        finite = all(map(math.isfinite, params))
+    except (TypeError, OverflowError):  # not a real number, or an integer past every float
+        finite = False
+    if not finite:
         for i, p in enumerate(params, start=first):
-            if not math.isfinite(p):
+            try:
+                finite = math.isfinite(p)
+            except (TypeError, OverflowError):
+                raise GateOpError(f"invalid parameter {p!r}", i) from None
+            if not finite:
                 raise GateOpError(f"non-finite parameter {p}", i)
     try:
         return spec.words(*params)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from .gates import GATE_SPECS, UNITARY_TOL
 from .multivector import nan_max
 
 MAX_DENSE_QUBITS = 12
+BACKEND_TOL = 1e-9  # the backends agree while max|d| of the amplitudes is below it
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -45,7 +47,8 @@ def gate_matrix(name: str, params=()) -> np.ndarray:
     Parameterless gates are copies of the constants in ``_FIXED_MATRICES``;
     ``phase`` and ``u2`` are built from their parameters.  ``ValueError`` for an
     unknown name, a parameter count other than the registry's, a non-finite
-    parameter, or a ``u2`` with max|U^dagger U - 1| above ``UNITARY_TOL``.
+    parameter, one that is not a real number, or a ``u2`` with
+    max|U^dagger U - 1| above ``UNITARY_TOL``.
     """
     spec = GATE_SPECS.get(name)
     if spec is None:
@@ -54,7 +57,11 @@ def gate_matrix(name: str, params=()) -> np.ndarray:
         raise ValueError(f"gate {name!r} takes {spec.params} parameter(s), got {len(params)}")
     if name in _FIXED_MATRICES:
         return _FIXED_MATRICES[name].copy()
-    if not all(map(math.isfinite, params)):
+    try:
+        finite = all(map(math.isfinite, params))
+    except (TypeError, OverflowError):  # not a real number, or an integer past every float
+        raise ValueError(f"gate {name!r} has an invalid parameter in {tuple(params)}") from None
+    if not finite:
         raise ValueError(f"gate {name!r} has a non-finite parameter in {tuple(params)}")
     if name == "phase":
         (phi,) = params
@@ -74,7 +81,10 @@ def _apply_gate(t: np.ndarray, order: list[int], gate: np.ndarray, wires) -> tup
     in ascending order; that is the axis order of the returned tensor.
     """
     n = t.ndim
-    want = [w - 1 for w in wires]
+    try:
+        want = [operator.index(w) - 1 for w in wires]
+    except TypeError:  # a float or a string: what operator.index refuses
+        raise ValueError(f"wires {tuple(wires)} are not all integers") from None
     want += [a for a in range(n) if a not in want]
     # n axes exactly when the wires are distinct and in 1..n
     if len(want) != n or len(gate) != 2 ** len(wires):
@@ -107,7 +117,8 @@ def run_matrix(circuit: Circuit, init_bits=None) -> MatrixState:
     The state is held as an n-axis tensor together with the wire order of its
     axes, so each gate costs one transpose copy and one ``gate @ t``; the
     MSB-first order comes back once, after the last gate.  An op whose wires
-    are out of 1..n, repeated or not the gate's count raises ``ValueError``.
+    are not integers (``operator.index``), out of 1..n, repeated or not the
+    gate's count raises ``ValueError``; ``True`` is wire 1.
     """
     n = circuit.n_qubits
     if n > MAX_DENSE_QUBITS:
@@ -129,11 +140,11 @@ class BackendComparison:
     matrix: np.ndarray = field(repr=False)
 
 
-def compare_backends(circuit: Circuit, init_bits=None, tol: float = 1e-9) -> BackendComparison:
+def compare_backends(circuit: Circuit, init_bits=None, tol: float = BACKEND_TOL) -> BackendComparison:
     """Run both backends and report the L-infinity amplitude deviation."""
     cliff = run_clifford(circuit, init_bits).amplitudes
     mat = run_matrix(circuit, init_bits).amplitudes
-    dev = float(np.max(np.abs(cliff - mat))) if len(cliff) else 0.0
+    dev = float(np.max(np.abs(cliff - mat)))
     return BackendComparison(
         n_qubits=circuit.n_qubits,
         gate_count=len(circuit.ops),
@@ -209,7 +220,7 @@ def run_fuzz(
     circuits: int = 200,
     max_qubits: int = 4,
     max_depth: int = 20,
-    tol: float = 1e-9,
+    tol: float = BACKEND_TOL,
 ) -> FuzzReport:
     """Differential sweep of random circuits across both backends."""
     results = []

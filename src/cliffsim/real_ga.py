@@ -23,8 +23,6 @@ from .multivector import EQ_TOL, PRUNE_EPS, Multivector, blade_product, exp_elem
 
 G3 = 3
 
-REAL_TOL = 1e-12
-
 _S3 = Multivector.basis_vector(G3, 3)
 _PSEUDO = Multivector(G3, {0b111: 1.0})  # s1 s2 s3, central, squares to -1
 _IDEM_R = Multivector(G3, {0b000: 0.5, 0b100: 0.5})  # (1 + s3)/2
@@ -50,10 +48,10 @@ def real_idempotent() -> Multivector:
     return _IDEM_R
 
 
-def require_real(mv: Multivector, tol: float = REAL_TOL) -> None:
-    """Raise if any coefficient has an imaginary part above tol, or a NaN one."""
+def require_real(mv: Multivector) -> None:
+    """Raise if any coefficient has an imaginary part above ``EQ_TOL``, or a NaN one."""
     worst = nan_max(abs(c.imag) for c in mv.terms.values())
-    if not worst <= tol:
+    if not worst <= EQ_TOL:
         raise ValueError(f"element has imaginary coefficients up to {worst:.3e}")
 
 
@@ -311,8 +309,8 @@ class IsoReport:
     passed: bool
 
 
-def iso_check(tol: float = EQ_TOL) -> IsoReport:
-    """Exhaustive multiplicativity and dagger-transport check of c2_to_g3.
+def iso_check() -> IsoReport:
+    """Exhaustive multiplicativity and dagger-transport check of c2_to_g3, to ``EQ_TOL``.
 
     Uses a 16-element real spanning set of the two-generator complex algebra:
     the four orthonormal blades and the four Witt words, each with and
@@ -333,5 +331,5 @@ def iso_check(tol: float = EQ_TOL) -> IsoReport:
         pairs=len(elems) ** 2,
         max_product_error=max_prod,
         max_dagger_error=max_dag,
-        passed=max_prod <= tol and max_dag <= tol,
+        passed=max_prod <= EQ_TOL and max_dag <= EQ_TOL,
     )

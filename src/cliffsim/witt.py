@@ -34,7 +34,6 @@ import numpy as np
 
 from .multivector import PRUNE_EPS, Multivector
 
-SPINOR_TOL = 1e-12
 MAX_QUBITS = 32
 
 
@@ -65,30 +64,33 @@ def _pauli_string(mask: int, n: int) -> tuple[int, int, complex]:
 
     With a and b the index masks of the e_w and the e_{w+n} in the blade,
     x = a ^ b and z = b ^ U(x): every e_w or e_{w+n} adds Z on the index bits
-    above its own, and e_{w+n} adds Z_w.  Each e_{w+n} brings a factor -i, and
-    composing the strings in blade order moves each e_{w+n} past the Z of
-    every e_v with v > w before it, hence (-i)^|b| (-1)^popcount(U(a) & b).
+    above its own, and e_{w+n} adds Z_w.  The phase is ``_blade_mask``'s.
     """
-    a = _wire_bits(mask & ((1 << n) - 1), n)
     b = _wire_bits(mask >> n, n)
-    x = a ^ b
-    # (-1)^k = (-i)^(2k)
-    phase = _MINUS_I_POWERS[(b.bit_count() + 2 * (_below(a, n) & b).bit_count()) % 4]
-    return x, b ^ _below(x, n), phase
+    x = _wire_bits(mask & ((1 << n) - 1), n) ^ b
+    z = b ^ _below(x, n)
+    return x, z, _blade_mask(x, z, n)[1]
 
 
-def _blade_mask(x: int, z: int, n: int) -> int:
-    """The blade whose Pauli string is X^x Z^z: the inverse of ``_pauli_string``."""
+def _blade_mask(x: int, z: int, n: int) -> tuple[int, complex]:
+    """The blade e_A and the phase with e_A = phase * X^x Z^z: the inverse of ``_pauli_string``.
+
+    With b = z ^ U(x) and a = x ^ b, each e_{w+n} brings a factor -i, and
+    composing the strings in blade order moves it past the Z of every e_v,
+    v > w, before it, hence (-i)^|b| (-1)^popcount(U(a) & b).
+    """
     b = z ^ _below(x, n)
-    return _wire_bits(x ^ b, n) | _wire_bits(b, n) << n
+    # (-1)^k = (-i)^(2k)
+    phase = _MINUS_I_POWERS[(b.bit_count() + 2 * (_below(x ^ b, n) & b).bit_count()) % 4]
+    return _wire_bits(x ^ b, n) | _wire_bits(b, n) << n, phase
 
 
 def _paulis_to_blades(n: int, paulis) -> Multivector:
     """The element acting on the amplitudes as the rows (x, z, coeff): X^x Z^z is the blade ``_blade_mask(x, z)`` over its phase."""
     terms = {}
     for x, z, coeff in paulis:
-        mask = _blade_mask(x, z, n)
-        terms[mask] = coeff * _pauli_string(mask, n)[2].conjugate()
+        mask, phase = _blade_mask(x, z, n)
+        terms[mask] = coeff * phase.conjugate()
     return Multivector(2 * n, terms)
 
 
@@ -146,19 +148,28 @@ class SpinorState:
     Amplitude k is the coordinate on the basis word
     (f_1^dagger)^{b_1} ... (f_n^dagger)^{b_n} I, b = index_bits(k, n).
     ``SpinorState(ctx, x)`` converts a multivector of the ideal (and rejects
-    any other); ``amplitudes_to_state`` wraps an amplitude vector directly.
-    The ``amplitudes`` array is read-only.
+    any other); ``amplitudes_to_state`` and the kernel wrap an amplitude
+    vector directly, through ``_wrap``.  The ``amplitudes`` array is read-only.
     """
 
     __slots__ = ("ctx", "amplitudes")
 
-    def __init__(self, ctx: WittContext, value: Multivector):
+    def __new__(cls, ctx: WittContext, value: Multivector) -> SpinorState:
         if value.dim != ctx.dim:
             raise ValueError("state multivector does not match context algebra")
         amps = _coordinates(ctx, value)
-        if not _ket(ctx, amps).isclose(value, SPINOR_TOL):
+        if amps is None:
             raise ValueError("multivector is not in the spinor ideal")
-        _freeze(self, ctx, amps)
+        return cls._wrap(ctx, amps)
+
+    @classmethod
+    def _wrap(cls, ctx: WittContext, amplitudes: np.ndarray) -> SpinorState:
+        """The state over a finished amplitude vector, held without a copy and made read-only."""
+        amplitudes.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "ctx", ctx)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -179,17 +190,15 @@ def _ket(ctx: WittContext, amplitudes: np.ndarray) -> Multivector:
     return _paulis_to_blades(ctx.n, rows) * ctx.idempotent
 
 
-def _coordinates(ctx: WittContext, x: Multivector) -> np.ndarray:
-    """The amplitudes of x if x is in the ideal: blade m_k of X^k occurs in basis word k alone, there as 2^-n / phase_k."""
+def _coordinates(ctx: WittContext, x: Multivector) -> np.ndarray | None:
+    """The amplitudes of x if the ket rebuilt from them is x to ``EQ_TOL`` per blade, else None.
+
+    Blade m_k of X^k occurs in basis word k alone, there as 2^-n / phase_k: x I = x is decided without forming x I.
+    """
     n = ctx.n
-    masks = [_blade_mask(k, 0, n) for k in range(2**n)]
-    return np.array([(2**n) * _pauli_string(m, n)[2] * x.coefficient(m) for m in masks], dtype=complex)
-
-
-def _freeze(state: SpinorState, ctx: WittContext, amplitudes: np.ndarray) -> None:
-    amplitudes.flags.writeable = False
-    object.__setattr__(state, "ctx", ctx)
-    object.__setattr__(state, "amplitudes", amplitudes)
+    masks = (_blade_mask(k, 0, n) for k in range(2**n))
+    amps = np.array([(2**n) * phase * x.coefficient(m) for m, phase in masks], dtype=complex)
+    return amps if _ket(ctx, amps).isclose(x) else None
 
 
 def basis_state(ctx: WittContext, bits: list[int] | tuple[int, ...]) -> SpinorState:
@@ -203,7 +212,7 @@ def basis_state(ctx: WittContext, bits: list[int] | tuple[int, ...]) -> SpinorSt
         index = 2 * index + b
     amps = np.zeros(2 ** ctx.n, dtype=complex)
     amps[index] = 1.0
-    return amplitudes_to_state(ctx, amps)
+    return SpinorState._wrap(ctx, amps)
 
 
 def index_bits(k: int, n: int) -> tuple[int, ...]:
@@ -218,14 +227,9 @@ def spinor_inner(ctx: WittContext, x: SpinorState, y: SpinorState) -> complex:
     return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
-def is_spinor(ctx: WittContext, x: Multivector, tol: float = SPINOR_TOL) -> bool:
-    """True iff x lies in the ideal: x is the ket rebuilt from its own coordinates, to ``tol`` per blade.
-
-    The ideal is the span of the basis words, and ``_coordinates`` reads any
-    element of it exactly, so this decides x I = x without multiplying x's
-    (up to 4^n) terms by I.
-    """
-    return _ket(ctx, _coordinates(ctx, x)).isclose(x, tol)
+def is_spinor(ctx: WittContext, x: Multivector) -> bool:
+    """True iff x lies in the ideal: ``_coordinates`` reads it back."""
+    return _coordinates(ctx, x) is not None
 
 
 def state_to_amplitudes(ctx: WittContext, x: SpinorState) -> list[complex]:
@@ -240,9 +244,7 @@ def amplitudes_to_state(ctx: WittContext, amplitudes) -> SpinorState:
     vec = np.array(amplitudes, dtype=complex)
     if vec.shape != (2 ** ctx.n,):
         raise ValueError(f"expected {2 ** ctx.n} amplitudes, got shape {vec.shape}")
-    state = object.__new__(SpinorState)
-    _freeze(state, ctx, vec)
-    return state
+    return SpinorState._wrap(ctx, vec)
 
 
 # -- Witt-basis rendering -----------------------------------------------------
@@ -302,12 +304,12 @@ def render_witt(coords: dict[tuple[int, ...], complex]) -> str:
     for i, codes in enumerate(sorted(coords, key=_order)):
         c = coords[codes]
         word = " ".join(_WORD_NAMES[code].format(k=k) for k, code in enumerate(codes, start=1) if code) or "1"
-        if abs(c.imag) < 1e-14 and c.real < 0:
+        if abs(c.imag) < PRUNE_EPS and c.real < 0:
             lead = "- " if i == 0 else " - "
             pieces.append(lead + _coeff_str(-c.real, word))
         else:
             lead = "" if i == 0 else " + "
-            if abs(c.imag) < 1e-14:
+            if abs(c.imag) < PRUNE_EPS:
                 pieces.append(lead + _coeff_str(c.real, word))
             else:
                 pieces.append(f"{lead}({_cplx_str(c)}) {word}")
@@ -315,7 +317,7 @@ def render_witt(coords: dict[tuple[int, ...], complex]) -> str:
 
 
 def _coeff_str(r: float, word: str) -> str:
-    if abs(r - 1.0) < 1e-14 and word != "1":
+    if abs(r - 1.0) < PRUNE_EPS and word != "1":
         return word
     if word == "1":
         return f"{r:.10g}"
@@ -323,6 +325,6 @@ def _coeff_str(r: float, word: str) -> str:
 
 
 def _cplx_str(c: complex) -> str:
-    if abs(c.real) < 1e-14:
+    if abs(c.real) < PRUNE_EPS:
         return f"{c.imag:.10g}i"
     return f"{c.real:.10g}{c.imag:+.10g}i"

@@ -10,7 +10,10 @@ from cliffsim.witt import index_bits
 def pytest_configure(config):
     # Hypothesis caches files under its home directory; keep them inside
     # pytest's own cache instead of a .hypothesis/ in the working directory.
-    set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+    # With the cache plugin off (-p no:cacheprovider) there is no such cache,
+    # and Hypothesis keeps its own default.
+    if getattr(config, "cache", None) is not None:
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import pytest
 
 from cliffsim.gates import (
     GATE_SPECS,
+    UNITARY_TOL,
     GateElement,
     apply,
     build_gate,
@@ -223,7 +224,7 @@ def test_criterion_6_tensor_product_exhaustive():
 
 def test_criterion_7_unitarity_sweep():
     rng = np.random.default_rng(FUZZ_SEED)
-    ok = True
+    ok = UNITARY_TOL == 1e-10  # is_unitary's tolerance
     checked = 0
     for n in range(1, 5):
         ctx = WittContext(n)
@@ -257,7 +258,7 @@ def test_criterion_7_unitarity_sweep():
                     ]
                 for params in param_sets:
                     g = build_gate(ctx, name, wires, params)
-                    ok &= is_unitary(g, tol=1e-10)
+                    ok &= is_unitary(g)
                     checked += 1
     _report(7, f"unitarity sweep over registry ({checked} gate elements)", ok)
     assert ok
@@ -285,7 +286,7 @@ def test_criterion_9_u2_correspondence():
     for _ in range(100):
         u = random_unitary_2x2(rng)
         g = gate_from_u2(ctx, 1, u)
-        ok &= is_unitary(g, tol=1e-10)
+        ok &= is_unitary(g)
         for col in (0, 1):
             amps = state_to_amplitudes(ctx, apply(g, basis_state(ctx, [col])))
             ok &= max(abs(a - b) for a, b in zip(amps, u[:, col])) < 1e-10

@@ -34,7 +34,7 @@ from cliffsim.gates import (
     super_tensor,
     wire_coordinates,
 )
-from cliffsim.matrix_backend import random_circuit, random_unitary_2x2
+from cliffsim.matrix_backend import random_circuit, random_unitary_2x2, run_matrix
 from cliffsim.multivector import PRUNE_EPS, Multivector, exp_element, hermitian_inner
 from cliffsim.witt import (
     WittContext,
@@ -617,7 +617,7 @@ class TestApplication:
         for mask in masks:
             x, z, phase = _pauli_string(mask, n)
             assert (x, z, phase) == reference(mask), mask
-            assert _blade_mask(x, z, n) == mask
+            assert _blade_mask(x, z, n) == (mask, phase)
 
     def test_phase_rotation_eigenvalue(self, ctx1):
         theta = 1.234
@@ -831,12 +831,23 @@ REFUSAL_PRECEDENCE = [
 BAD_GATE_OPS += [row[:3] for row in REFUSAL_PRECEDENCE]
 # A wire is what operator.index accepts: no float, integral or not, and no string.
 BAD_GATE_OPS += [("x", (1.5,), ()), ("x", (1.0,), ()), ("cnot", (1, 2.0), ()), ("x", ("1",), ())]
+# A parameter is a real number that a float holds, what math.isfinite takes:
+# no complex number, string, None or integer past every float.  The first
+# other one is refused at its token, before a later non-finite one.
+PARAMETER_REFUSALS = [
+    ("phase", (1,), (0.5 + 0j,), "invalid parameter (0.5+0j)", 2),
+    ("phase", (1,), ("0.5",), "invalid parameter '0.5'", 2),
+    ("phase", (1,), (None,), "invalid parameter None", 2),
+    ("u2", (1,), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1 + 0j, 0.0), "invalid parameter (1+0j)", 8),
+    ("u2", (1,), (1.0, 0.0, 0.0, "0", math.nan, 0.0, 1 + 0j, 0.0), "invalid parameter '0'", 5),
+]
+BAD_GATE_OPS += [row[:3] for row in PARAMETER_REFUSALS] + [("phase", (1,), (2**1024,))]
 
 
 class TestOpRefusal:
     """A bad op is refused by ``check_op``, ``build_gate`` and ``run_clifford`` exactly as ``gate_words`` refuses it."""
 
-    @pytest.mark.parametrize("name,wires,params,message,index", REFUSAL_PRECEDENCE)
+    @pytest.mark.parametrize("name,wires,params,message,index", REFUSAL_PRECEDENCE + PARAMETER_REFUSALS)
     def test_precedence(self, name, wires, params, message, index):
         with pytest.raises(GateOpError) as got:
             gate_words(name, 3, wires, params)
@@ -872,6 +883,11 @@ class TestOpRefusal:
         as_bool = (GateOp("h", (True,)), GateOp("phase", (True,), (0.5,)), GateOp("cnot", (True, 3)))
         expected = run_clifford(Circuit(3, as_int)).amplitudes
         assert run_clifford(Circuit(3, as_bool)).amplitudes.tobytes() == expected.tobytes()
+        # the oracle reads them as the same wires, by its own check
+        as_numpy = (GateOp("h", (np.int64(1),)), GateOp("phase", (True,), (0.5,)), GateOp("cnot", (True, np.int64(3))))
+        expected = run_matrix(Circuit(3, as_int)).amplitudes
+        for ops in (as_bool, as_numpy):
+            assert run_matrix(Circuit(3, ops)).amplitudes.tobytes() == expected.tobytes()
 
 
 class TestFrontEnds:

@@ -2,9 +2,12 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsim.circuit import Circuit, GateOp, parse_circuit, run_clifford
 from cliffsim.gates import GATE_SPECS, apply_all, build_gate
@@ -49,6 +52,18 @@ class TestGateMatrices:
             (GateOp("u2", (1,), (1, 0, 0, 0, 0, 0, math.inf, 0)), "non-finite parameter"),
             (GateOp("u2", (1,), (1, 0, 0, 0, 0, 0, 1)), "gate 'u2' takes 8 parameter(s), got 7"),
             (GateOp("phase", (1,), ()), "gate 'phase' takes 1 parameter(s), got 0"),
+            # a parameter that is not a real number a float holds
+            (GateOp("phase", (1,), (0.5 + 0j,)), "gate 'phase' has an invalid parameter in ((0.5+0j),)"),
+            (GateOp("phase", (1,), ("0.5",)), "gate 'phase' has an invalid parameter in ('0.5',)"),
+            (GateOp("phase", (1,), (None,)), "gate 'phase' has an invalid parameter in (None,)"),
+            (GateOp("phase", (1,), (2**1024,)), "gate 'phase' has an invalid parameter"),
+            (GateOp("u2", (1,), (1, 0, 0, 0, 0, 0, 1 + 0j, 0)), "gate 'u2' has an invalid parameter"),
+            # a wire that operator.index refuses
+            (GateOp("x", (1.0,)), "wires (1.0,) are not all integers"),
+            (GateOp("x", (1.5,)), "wires (1.5,) are not all integers"),
+            (GateOp("cnot", (1, 2.0)), "wires (1, 2.0) are not all integers"),
+            (GateOp("x", ("1",)), "wires ('1',) are not all integers"),
+            (GateOp("x", (None,)), "wires (None,) are not all integers"),
         ],
     )
     def test_refuses_what_the_clifford_side_refuses(self, op, message):
@@ -275,3 +290,84 @@ def test_oracle_refuses_bad_wires(op):
     # wire 0 must not wrap to the last axis, and a wrong count must not reshape silently
     with pytest.raises(ValueError, match="cannot act on wires"):
         run_matrix(Circuit(3, (GateOp("h", (1,)), op)))
+
+
+def test_oracle_checks_ops_without_the_clifford_validator(monkeypatch):
+    # the oracle is the check, not a copy: it must refuse bad ops by itself
+    import cliffsim.gates
+
+    def refuse(*args):
+        raise AssertionError("the oracle used the Clifford side's op check")
+
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "cliffsim"]
+    for name in ("gate_words", "check_op", "gate_spec", "_order_table", "_gate_table"):
+        original = getattr(cliffsim.gates, name)
+        for module in modules:
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, refuse)
+    run_matrix(Circuit(3, (GateOp("h", (1,)), GateOp("phase", (2,), (0.5,)), GateOp("ccnot", (3, 1, 2)))))
+    for op in (GateOp("x", (1.0,)), GateOp("x", (4,)), GateOp("phase", (1,), (None,)), GateOp("nope", (1,))):
+        with pytest.raises(ValueError):
+            run_matrix(Circuit(3, (op,)))
+
+
+# Op contents of every kind: integers in and out of range, integral and
+# non-integral floats, bools, numpy integers and floats, strings, complex
+# numbers, None and nan.
+_OP_VALUES = st.one_of(
+    st.integers(-1, 4),
+    st.integers(),
+    st.integers(-1, 4).map(float),
+    st.floats(),
+    st.booleans(),
+    st.integers(-1, 4).map(np.int64),
+    st.floats(-10.0, 10.0).map(np.float64),
+    st.text(max_size=2),
+    st.complex_numbers(max_magnitude=10.0),
+    st.none(),
+    st.just(math.nan),
+)
+
+
+@st.composite
+def _hand_built_ops(draw):
+    """A valid registry op on three wires, then up to two edits: a wire or parameter dropped, added or replaced."""
+    name = draw(st.sampled_from(sorted(GATE_SPECS)))
+    wires = draw(st.permutations([1, 2, 3]))[: GATE_SPECS[name].wires]
+    params = []
+    if name == "phase":
+        params = [draw(st.floats(-10.0, 10.0))]
+    elif name == "u2":
+        u = random_unitary_2x2(np.random.default_rng(draw(st.integers(0, 2**32))))
+        params = [x for e in (u[0, 0], u[0, 1], u[1, 0], u[1, 1]) for x in (e.real, e.imag)]
+    for _ in range(draw(st.integers(0, 2))):
+        values = draw(st.sampled_from((wires, params)))
+        edit = draw(st.sampled_from(("drop", "add", "replace")))
+        if edit == "add":
+            values.insert(draw(st.integers(0, len(values))), draw(_OP_VALUES))
+        elif values:
+            k = draw(st.integers(0, len(values) - 1))
+            if edit == "drop":
+                del values[k]
+            else:
+                values[k] = draw(_OP_VALUES)
+    return GateOp(name, tuple(wires), tuple(params))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_hand_built_ops())
+def test_backends_refuse_or_agree_on_hand_built_ops(op):
+    # one op contract on both backends: both raise ValueError (GateOpError is one), or both run and agree
+    circuit = Circuit(3, (GateOp("h", (1,)), GateOp("h", (2,)), GateOp("h", (3,)), op))
+    results = []
+    for run in (run_clifford, run_matrix):
+        try:
+            results.append(run(circuit).amplitudes)
+        except ValueError:
+            results.append(None)
+    clifford, matrix = results
+    if clifford is None or matrix is None:
+        assert clifford is None and matrix is None, op
+    else:
+        assert np.max(np.abs(clifford - matrix)) <= 1e-12, op

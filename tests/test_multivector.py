@@ -465,3 +465,53 @@ class TestHygiene:
         assert Multivector.blade(3, [2, 1]).terms == {0b11: -1 + 0j}
         with pytest.raises(ValueError):
             Multivector.blade(3, [1, 1])
+
+
+def _hex_terms(x):
+    """Each coefficient of x as the float.hex of its real and imaginary parts."""
+    return {m: (c.real.hex(), c.imag.hex()) for m, c in x.terms.items()}
+
+
+class TestScalarOperands:
+    """A number beside a multivector is that multiple of the scalar blade; any other operand is refused."""
+
+    X = Multivector(2, {0: 1.5, 0b01: 2j, 0b11: -0.25})
+
+    def test_add_and_subtract_a_number(self):
+        shifted = {0: (4.5).hex(), 0b01: (0.0).hex(), 0b11: (-0.25).hex()}
+        for y in (self.X + 3, 3 + self.X):
+            assert y.terms == {0: 4.5 + 0j, 0b01: 2j, 0b11: -0.25 + 0j}
+            assert {m: re for m, (re, _) in _hex_terms(y).items()} == shifted
+        assert _hex_terms(self.X - 1.0) == {
+            0: ((0.5).hex(), (0.0).hex()),
+            0b01: ((0.0).hex(), (2.0).hex()),
+            0b11: ((-0.25).hex(), (0.0).hex()),
+        }
+        # 2 - x is (-x) + 2: negation flips the zero parts' signs too
+        assert _hex_terms(2 - self.X) == {
+            0: ((0.5).hex(), (0.0).hex()),
+            0b01: ((-0.0).hex(), (-2.0).hex()),
+            0b11: ((0.25).hex(), (-0.0).hex()),
+        }
+        assert (self.X + 2j).terms == {0: 1.5 + 2j, 0b01: 2j, 0b11: -0.25 + 0j}
+
+    def test_divide_by_a_number(self):
+        # x / s is x * (1 / s)
+        assert (self.X / 2).terms == {0: 0.75 + 0j, 0b01: 1j, 0b11: -0.125 + 0j}
+        assert _hex_terms(self.X / 4j) == _hex_terms(self.X * (1.0 / 4j))
+        assert (self.X / 4j).terms == {0: -0.375j, 0b01: 0.5 + 0j, 0b11: 0.0625j}
+
+    def test_other_operands_are_not_implemented(self):
+        assert self.X.__add__("a") is NotImplemented
+        assert self.X.__mul__(None) is NotImplemented
+        assert self.X.__rmul__(None) is NotImplemented
+        assert self.X.__eq__(3) is NotImplemented
+        assert (self.X == 3) is False and (self.X != 3) is True
+        for bad in (lambda: self.X + "a", lambda: self.X * None, lambda: None * self.X):
+            with pytest.raises(TypeError):
+                bad()
+
+    def test_render_and_repr(self):
+        assert Multivector(2).render() == "0"
+        assert repr(Multivector(2)) == "<Multivector dim=2 0>"
+        assert repr(self.X) == "<Multivector dim=2 (1.5) + (2i) e1 + (-0.25) e1e2>"

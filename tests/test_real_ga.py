@@ -261,6 +261,20 @@ class TestTensorAndCorrelator:
         assert t.terms == {(0, 0): 1.5}
         assert (0.5 * t).terms == {(0, 0): 0.75}
 
+    def test_right_scalar_product_equals_left(self):
+        t = TensorG3(2, {(1, 0): 0.3, (0, 3): -1.5})
+        for s in (0.5, 3, -0.1, 1e-14):
+            assert {k: c.hex() for k, c in (t * s).terms.items()} == {k: c.hex() for k, c in (s * t).terms.items()}
+        assert (t * 2).terms == {(1, 0): 0.6, (0, 3): -3.0}
+        assert (t * 1e-14).terms == {(0, 3): -1.5e-14}  # 3e-15 is pruned
+
+    def test_equality_with_another_type_and_repr(self):
+        t = TensorG3(2, {(1, 0): 0.3, (0, 3): -1.5})
+        assert t.__eq__(3) is NotImplemented
+        assert (t == 3) is False and (t != 3) is True
+        assert repr(t) == "<TensorG3 n=2 {(0, 3): -1.5, (1, 0): 0.3}>"
+        assert repr(TensorG3(1)) == "<TensorG3 n=1 {}>"
+
     def test_nan_term_is_kept(self):
         t = TensorG3(2, {(0, 0): 1.0, (1, 2): math.nan, (3, 0): 1e-15})
         assert set(t.terms) == {(0, 0), (1, 2)} and math.isnan(t.terms[1, 2])

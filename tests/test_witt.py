@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffsim.gates import GateElement
-from cliffsim.multivector import Multivector, hermitian_inner
+from cliffsim.multivector import EQ_TOL, Multivector, hermitian_inner
 from cliffsim.witt import (
-    SPINOR_TOL,
     SpinorState,
     WittContext,
     amplitudes_to_state,
@@ -30,6 +29,7 @@ class TestContextConstruction:
         ctx = WittContext(1)
         assert ctx.f(1).terms == {0b01: 0.5 + 0j, 0b10: -0.5j}
         assert ctx.fdag(1).terms == {0b01: 0.5 + 0j, 0b10: 0.5j}
+        assert repr(ctx) == "WittContext(n=1)" and repr(WittContext(32)) == "WittContext(n=32)"
 
     def test_duality_for_single_wire(self):
         ctx = WittContext(1)
@@ -226,7 +226,7 @@ class TestIdealMembership:
             x = amplitudes_to_state(ctx, rng.normal(size=2**n) + 1j * rng.normal(size=2**n)).value
             moved = x + Multivector(ctx.dim, {int(rng.integers(4**n)): 1e-3})
             for element, inside in ((x, True), (moved, False)):
-                by_product = (element * ctx.idempotent).isclose(element, SPINOR_TOL)
+                by_product = (element * ctx.idempotent).isclose(element, EQ_TOL)
                 assert is_spinor(ctx, element) == by_product == inside
 
     def test_state_requires_matching_algebra(self):
