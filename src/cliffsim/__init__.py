@@ -14,10 +14,8 @@ from .gates import (
     apply_all,
     build_gate,
     gate_from_u2,
-    gate_identity,
     is_unitary,
     ketbra,
-    measure_probabilities,
     super_tensor,
 )
 from .matrix_backend import (

@@ -52,29 +52,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .multivector import PRUNE_EPS, Multivector
-from .witt import SpinorState, WittContext, _pauli_string, _paulis_to_blades, basis_state, state_to_amplitudes
+from .witt import SpinorState, WittContext, _pauli_string, _paulis_to_blades, basis_state
 
 UNITARY_TOL = 1e-10
-
-__all__ = [
-    "GateElement",
-    "GateOpError",
-    "GateSpec",
-    "GATE_SPECS",
-    "apply",
-    "apply_all",
-    "build_gate",
-    "check_op",
-    "gate_from_u2",
-    "gate_identity",
-    "gate_spec",
-    "gate_words",
-    "is_unitary",
-    "ketbra",
-    "measure_probabilities",
-    "super_tensor",
-    "wire_coordinates",
-]
 
 
 # coeff * X^x Z^z on the amplitude index bits, Z^z first, as (x, z, coeff).
@@ -148,10 +128,6 @@ def super_tensor(ctx: WittContext, factors: Sequence[Multivector | None]) -> Gat
         raise ValueError(f"expected {ctx.n} factors, got {len(factors)}")
     word = tuple(None if f is None else wire_coordinates(ctx, f, k) for k, f in enumerate(factors, start=1))
     return GateElement(ctx.n, tuple(zip(*_pauli_table(ctx.n, range(1, ctx.n + 1), (word,)))))
-
-
-def gate_identity(ctx: WittContext) -> GateElement:
-    return GateElement(ctx.n, ((0, 0, 1 + 0j),))
 
 
 def ketbra(ctx: WittContext, bits_out, bits_in) -> Multivector:
@@ -342,11 +318,6 @@ def is_unitary(g: GateElement) -> bool:
     one = Multivector.scalar(value.dim, 1.0)
     dag = value.dagger()
     return (dag * value).isclose(one, UNITARY_TOL) and (value * dag).isclose(one, UNITARY_TOL)
-
-
-def measure_probabilities(ctx: WittContext, state: SpinorState) -> list[float]:
-    """Born-rule probabilities over the computational basis."""
-    return [abs(a) ** 2 for a in state_to_amplitudes(ctx, state)]
 
 
 # -- registry -----------------------------------------------------------------------

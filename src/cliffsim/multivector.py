@@ -14,8 +14,6 @@ anything, itself included (|inf - inf| is NaN).
 Sign conventions, per grade-r blade:
 
 * reverse                 (-1)^(r(r-1)/2)
-* grade involution        (-1)^r
-* Clifford conjugation    (-1)^(r(r+1)/2)
 * Hermitian conjugation   reverse sign with complex-conjugated coefficient
 
 The last one fixes the generators (e_j -> e_j), is complex conjugation on
@@ -78,14 +76,6 @@ def _reverse_sign(mask: int) -> int:
     return -1 if mask.bit_count() % 4 in (2, 3) else 1
 
 
-def _involution_sign(mask: int) -> int:
-    return -1 if mask.bit_count() % 2 else 1
-
-
-def _conjugation_sign(mask: int) -> int:
-    return -1 if mask.bit_count() % 4 in (1, 2) else 1
-
-
 class Multivector:
     """Immutable sparse multivector. Do not mutate ``terms`` after creation."""
 
@@ -123,19 +113,6 @@ class Multivector:
         return cls(dim, {1 << (j - 1): 1.0})
 
     @classmethod
-    def blade(cls, dim: int, generators: Iterable[int], coeff: complex = 1.0) -> Multivector:
-        """Product of distinct generators in the given order (sign tracked)."""
-        mask = 0
-        sign = 1
-        for j in generators:
-            bit = 1 << (j - 1)
-            if mask & bit:
-                raise ValueError(f"repeated generator e_{j} in blade")
-            s, mask = blade_product(mask, bit)
-            sign *= s
-        return cls(dim, {mask: sign * coeff})
-
-    @classmethod
     def _from_raw(cls, dim: int, terms: dict[int, complex]) -> Multivector:
         mv = cls.__new__(cls)
         mv.dim = dim
@@ -149,9 +126,6 @@ class Multivector:
 
     def scalar_part(self) -> complex:
         return self.terms.get(0, 0j)
-
-    def grades(self) -> set[int]:
-        return {m.bit_count() for m in self.terms}
 
     def norm(self) -> float:
         """Coefficient 2-norm, sqrt(sum |x_A|^2)."""
@@ -223,46 +197,11 @@ class Multivector:
                 out[m] = out.get(m, 0j) + ca * cb * (-1 if (q & b).bit_count() & 1 else 1)
         return Multivector._from_raw(self.dim, out)
 
-    def left_contract(self, other: Multivector) -> Multivector:
-        """Left contraction: grade-lowering part of the geometric product.
-
-        Kept as the blade terms with the left factor contained in the right
-        one, so that v x = (v . x) + (v ^ x) holds for grade-1 v by
-        construction.
-        """
-        self._check_compatible(other)
-        out: dict[int, complex] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                if a & ~b:
-                    continue
-                s, m = blade_product(a, b)
-                out[m] = out.get(m, 0j) + ca * cb * s
-        return Multivector._from_raw(self.dim, out)
-
-    # -- grading and involutions ----------------------------------------------
-
-    def grade(self, r: int) -> Multivector:
-        """Projection onto the grade-r component."""
-        if not 0 <= r <= self.dim:
-            raise ValueError(f"grade {r} out of range 0..{self.dim}")
-        return Multivector._from_raw(
-            self.dim, {m: c for m, c in self.terms.items() if m.bit_count() == r}
-        )
-
-    def grade_involution(self) -> Multivector:
-        return Multivector._from_raw(
-            self.dim, {m: c * _involution_sign(m) for m, c in self.terms.items()}
-        )
+    # -- involutions ------------------------------------------------------------
 
     def reverse(self) -> Multivector:
         return Multivector._from_raw(
             self.dim, {m: c * _reverse_sign(m) for m, c in self.terms.items()}
-        )
-
-    def clifford_conjugate(self) -> Multivector:
-        return Multivector._from_raw(
-            self.dim, {m: c * _conjugation_sign(m) for m, c in self.terms.items()}
         )
 
     def dagger(self) -> Multivector:
@@ -341,12 +280,13 @@ def hermitian_inner(x: Multivector, y: Multivector) -> complex:
     return out
 
 
-def exp_element(x: Multivector, tol: float = 1e-13, max_terms: int = 64) -> Multivector:
+def exp_element(x: Multivector) -> Multivector:
     """Exponential of a multivector.
 
     Uses the closed form cosh(s) + sinh(s)/s * x when x^2 is a scalar s^2
     (covers the involutive gate generators); otherwise sums the power series
-    until the term norm drops below ``tol`` relative to the partial sum.
+    until the term norm drops below 1e-13 relative to the partial sum, and
+    raises ``ArithmeticError`` if 64 terms do not get there.
     """
     x2 = x * x
     if not x2.terms or set(x2.terms) == {0}:
@@ -356,6 +296,7 @@ def exp_element(x: Multivector, tol: float = 1e-13, max_terms: int = 64) -> Mult
             return one + x
         s = cmath.sqrt(w)
         return cmath.cosh(s) * one + (cmath.sinh(s) / s) * x
+    tol, max_terms = 1e-13, 64
     acc = Multivector.scalar(x.dim, 1.0)
     term = Multivector.scalar(x.dim, 1.0)
     for k in range(1, max_terms + 1):

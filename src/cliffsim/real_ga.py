@@ -225,8 +225,8 @@ class TensorG3:
         if self.n != other.n:
             raise ValueError(f"slot count mismatch: {self.n} vs {other.n}")
 
-    def isclose(self, other: TensorG3, tol: float = EQ_TOL) -> bool:
-        return self.n == other.n and max_abs_diff(self.terms, other.terms) <= tol
+    def isclose(self, other: TensorG3) -> bool:
+        return self.n == other.n and max_abs_diff(self.terms, other.terms) <= EQ_TOL
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorG3):

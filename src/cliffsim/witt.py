@@ -174,6 +174,10 @@ class SpinorState:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        """Copy and pickle through ``_wrap``, since ``__new__`` takes a multivector."""
+        return SpinorState._wrap, (self.ctx, self.amplitudes.copy())
+
     @property
     def n(self) -> int:
         return self.ctx.n

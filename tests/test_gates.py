@@ -26,11 +26,9 @@ from cliffsim.gates import (
     build_gate,
     check_op,
     gate_from_u2,
-    gate_identity,
     gate_words,
     is_unitary,
     ketbra,
-    measure_probabilities,
     super_tensor,
     wire_coordinates,
 )
@@ -494,11 +492,6 @@ class TestUnitarity:
 
 
 class TestApplication:
-    def test_identity_gate(self, ctx2):
-        g = gate_identity(ctx2)
-        s = basis_state(ctx2, [1, 0])
-        assert apply(g, s).value.terms == s.value.terms
-
     def test_double_hadamard_round_trip(self, ctx1):
         rng = np.random.default_rng(131)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -649,31 +642,6 @@ class TestBladeForm:
 
         with pytest.raises(ValueError):
             GateElement.from_blades(Multivector(3, {1: 1.0}))
-
-
-class TestProbabilities:
-    def test_basis_state(self, ctx1):
-        probs = measure_probabilities(ctx1, basis_state(ctx1, [0]))
-        assert probs == [1, 0]
-
-    def test_hadamard_state(self, ctx1):
-        probs = measure_probabilities(ctx1, apply(build_gate(ctx1, "h", (1,)), basis_state(ctx1, [0])))
-        assert abs(probs[0] - 0.5) < 1e-12 and abs(probs[1] - 0.5) < 1e-12
-
-    def test_bell_state(self, ctx2):
-        state = apply(build_gate(ctx2, "h", (1,)), basis_state(ctx2, [0, 0]))
-        state = apply(build_gate(ctx2, "cnot", (1, 2)), state)
-        probs = measure_probabilities(ctx2, state)
-        expected = [0.5, 0.0, 0.0, 0.5]
-        assert max(abs(p - e) for p, e in zip(probs, expected)) < 1e-12
-
-    def test_sums_to_state_norm(self, ctx2):
-        rng = np.random.default_rng(137)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        s = amplitudes_to_state(ctx2, list(v))
-        total = sum(measure_probabilities(ctx2, s))
-        norm = spinor_inner(ctx2, s, s)
-        assert abs(total - norm.real) < 1e-10
 
 
 class TestRegistry:

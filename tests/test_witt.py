@@ -1,6 +1,8 @@
 """Witt basis construction, spinor ideal membership, amplitude extraction."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -288,6 +290,17 @@ class TestAmplitudes:
         with pytest.raises(AttributeError):
             s.amplitudes = np.zeros(4, dtype=complex)
         assert state_to_amplitudes(ctx, s) == [0.6, 0, 0, 0.8]
+
+    def test_copy_and_pickle(self):
+        ctx = WittContext(2)
+        s = basis_state(ctx, (0, 1))
+        for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert copied.n == 2
+            assert copied.amplitudes.tobytes() == s.amplitudes.tobytes()
+            assert copied.amplitudes is not s.amplitudes
+            assert not copied.amplitudes.flags.writeable
+            with pytest.raises(AttributeError):
+                copied.amplitudes = np.zeros(4, dtype=complex)
 
     def test_length_validation(self):
         ctx = WittContext(2)
