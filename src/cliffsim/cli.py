@@ -176,11 +176,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     if args.json:
         payload = {
-            "seed": report.seed,
-            "circuits": report.circuits,
-            "max_qubits": report.max_qubits,
-            "depth": report.max_depth,
-            "tol": report.tol,
+            "seed": args.seed,
+            "circuits": args.circuits,
+            "max_qubits": args.max_qubits,
+            "depth": args.depth,
+            "tol": args.tol,
             "failures": report.failures,
             "max_deviation": report.max_deviation,
             "results": [
@@ -206,7 +206,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             )
         verdict = "PASS" if report.passed else "FAIL"
         print(
-            f"fuzz summary: {report.circuits} circuits, {report.failures} failures, "
+            f"fuzz summary: {args.circuits} circuits, {report.failures} failures, "
             f"max|d|={report.max_deviation:.3e}  {verdict}"
         )
     return EXIT_OK if report.passed else EXIT_VERIFY

@@ -30,6 +30,8 @@ with exact floating-point cancellation.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .multivector import PRUNE_EPS, Multivector
@@ -206,14 +208,18 @@ def _coordinates(ctx: WittContext, x: Multivector) -> np.ndarray | None:
 
 
 def basis_state(ctx: WittContext, bits: list[int] | tuple[int, ...]) -> SpinorState:
-    """Computational basis state for an MSB-first bit list."""
+    """Computational basis state for MSB-first bits, each 0 or 1 by ``operator.index`` (else ``ValueError``)."""
     if len(bits) != ctx.n:
         raise ValueError(f"expected {ctx.n} bits, got {len(bits)}")
     index = 0
     for b in bits:
-        if b not in (0, 1):
+        try:
+            bit = operator.index(b)
+        except TypeError:  # a float, a string or None
+            bit = None
+        if bit not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got {b!r}")
-        index = 2 * index + b
+        index = 2 * index + bit
     amps = np.zeros(2 ** ctx.n, dtype=complex)
     amps[index] = 1.0
     return SpinorState._wrap(ctx, amps)

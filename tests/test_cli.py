@@ -470,6 +470,13 @@ class TestFuzz:
         assert len(payload["results"]) == 4
         assert payload["max_deviation"] < 1e-9
 
+    def test_echoes_its_arguments(self, capsys):
+        argv = ["fuzz", "--seed", "3", "--circuits", "2", "--max-qubits", "2", "--depth", "3", "--tol", "0.5"]
+        assert main([*argv, "--json"]) == 0
+        assert capsys.readouterr().out.startswith('{"seed": 3, "circuits": 2, "max_qubits": 2, "depth": 3, "tol": 0.5, ')
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("fuzz summary: 2 circuits, 0 failures, ")
+
     def test_json_non_finite_exits_1(self, capsys, monkeypatch):
         def nan_state(circuit, bits=None):
             n = circuit.n_qubits

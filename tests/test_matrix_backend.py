@@ -99,6 +99,9 @@ class TestRunMatrix:
         assert np.allclose(state.amplitudes, [0, 0, 1, 0])
         with pytest.raises(ValueError, match="expected 2 bits, got 1"):
             run_matrix(Circuit(2, ()), init_bits=(1,))
+        for bits, bad in (((0, 2), "2"), ((1.0, 0), "1.0"), (("1", "0"), "'1'")):
+            with pytest.raises(ValueError, match=re.escape(f"bits must be 0 or 1, got {bad}")):
+                run_matrix(Circuit(2, ()), init_bits=bits)
 
     def test_register_above_the_cap_refused(self):
         with pytest.raises(ValueError, match="matrix backend capped at 12 qubits"):
@@ -151,6 +154,14 @@ class TestCompareBackends:
     def test_failing_tolerance_flagged(self):
         report = compare_backends(Circuit(1, (GateOp("h", (1,)),)), tol=0.0)
         assert not report.passed
+
+    def test_register_above_the_cap_refused_before_the_clifford_run(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Clifford run started on a register the oracle refuses")
+
+        monkeypatch.setattr("cliffsim.matrix_backend.run_clifford", refuse)
+        with pytest.raises(ValueError, match="matrix backend capped at 12 qubits"):
+            compare_backends(Circuit(13, ()))
 
 
 class TestFuzz:
@@ -355,19 +366,35 @@ def _hand_built_ops(draw):
     return GateOp(name, tuple(wires), tuple(params))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(_hand_built_ops())
-def test_backends_refuse_or_agree_on_hand_built_ops(op):
-    # one op contract on both backends: both raise ValueError (GateOpError is one), or both run and agree
-    circuit = Circuit(3, (GateOp("h", (1,)), GateOp("h", (2,)), GateOp("h", (3,)), op))
+def _assert_refuse_or_agree(circuit, init_bits=None):
+    """Both backends raise ValueError (GateOpError is one), or both run and agree to 1e-12."""
     results = []
     for run in (run_clifford, run_matrix):
         try:
-            results.append(run(circuit).amplitudes)
+            results.append(run(circuit, init_bits).amplitudes)
         except ValueError:
             results.append(None)
     clifford, matrix = results
     if clifford is None or matrix is None:
-        assert clifford is None and matrix is None, op
+        assert clifford is None and matrix is None
     else:
-        assert np.max(np.abs(clifford - matrix)) <= 1e-12, op
+        assert np.max(np.abs(clifford - matrix)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_hand_built_ops())
+def test_backends_refuse_or_agree_on_hand_built_ops(op):
+    # one op contract on both backends
+    _assert_refuse_or_agree(Circuit(3, (GateOp("h", (1,)), GateOp("h", (2,)), GateOp("h", (3,)), op)))
+
+
+# Init bits of every kind: 0 and 1, integers out of range, integral and
+# non-integral floats, a bool, numpy integers, a string and None.
+_BIT_VALUES = st.sampled_from((0, 1, 2, -1, 1.0, 1.5, True, np.int64(0), np.int64(1), np.int8(2), "1", None))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(_BIT_VALUES, max_size=3).map(tuple))
+def test_backends_refuse_or_agree_on_init_bits(bits):
+    # one init-bit contract on both backends, tuples of the wrong length included
+    _assert_refuse_or_agree(Circuit(2, (GateOp("h", (1,)), GateOp("cnot", (1, 2)), GateOp("s", (2,)))), bits)

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,9 @@ class TestBasisStates:
             basis_state(ctx, [0])
         with pytest.raises(ValueError):
             basis_state(ctx, [0, 2])
+        for bits, bad in (([1.0, 0], "1.0"), (["1", "0"], "'1'"), ([0, None], "None")):
+            with pytest.raises(ValueError, match=re.escape(f"bits must be 0 or 1, got {bad}")):
+                basis_state(ctx, bits)
 
 
 class TestSpinorInner:
