@@ -29,7 +29,6 @@ from .matrix_backend import (
 )
 from .multivector import (
     Multivector,
-    blade_product,
     exp_element,
     hermitian_inner,
 )

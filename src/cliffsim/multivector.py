@@ -67,11 +67,6 @@ def _sign_mask(a: int) -> int:
     return p
 
 
-def blade_product(a: int, b: int) -> tuple[int, int]:
-    """Geometric product of basis blades: (sign, result mask)."""
-    return (-1 if (_sign_mask(a) & b).bit_count() & 1 else 1), a ^ b
-
-
 def _reverse_sign(mask: int) -> int:
     return -1 if mask.bit_count() % 4 in (2, 3) else 1
 

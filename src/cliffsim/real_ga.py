@@ -10,8 +10,8 @@ Two encodings of a single qubit are provided:
   pseudoscalar s1s2s3 and the vacuum idempotent to (1 + s3)/2, with Pauli
   action psi -> s_k psi.
 
-A small formal tensor type over copies of the algebra carries the n-qubit
-correlator that identifies the per-copy complex structures.
+The n-qubit correlator that identifies the per-copy complex structures
+lives in the algebra on 3n generators, copy k on generators 3k-2..3k.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .multivector import EQ_TOL, PRUNE_EPS, Multivector, blade_product, exp_element, max_abs_diff, nan_max
+from .multivector import EQ_TOL, Multivector, exp_element, nan_max
 
 G3 = 3
 
@@ -70,6 +70,8 @@ def quat_encode(alpha: complex, beta: complex) -> Multivector:
 
 def quat_coords(psi: Multivector) -> tuple[complex, complex]:
     """Amplitude pair recovered from an even element."""
+    if psi.dim != G3:
+        raise ValueError(f"expected a dim-3 multivector, got dim {psi.dim}")
     require_real(psi)
     a0 = psi.coefficient(0b000).real
     a1 = psi.coefficient(0b110).real
@@ -148,111 +150,32 @@ def rc_coords(psi: Multivector) -> tuple[complex, complex]:
     )
 
 
-# -- formal tensor powers and the correlator ----------------------------------------
+# -- the n-copy correlator ------------------------------------------------------------
 
 
-class TensorG3:
-    """Formal n-fold tensor product of three-generator algebra elements.
+def slot_complex_structure(n: int, k: int) -> Multivector:
+    """The blade s1 s2 of copy k among n; right multiplication realizes J_k.
 
-    Terms map an n-tuple of blade masks to a real coefficient; factors in
-    distinct slots commute, and slot-wise products follow the algebra.
+    Copy k holds generators 3k-2..3k of the 3n-generator algebra.  Even
+    elements of distinct copies commute, as factors of a tensor product do;
+    odd ones anticommute, as in the multiparticle algebra, but no caller
+    forms them.
     """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[tuple[int, ...], float] | None = None):
-        if not 1 <= n <= 3:
-            raise ValueError(f"tensor slot count {n} out of range 1..3")
-        self.n = n
-        self.terms: dict[tuple[int, ...], float] = {}
-        if terms:
-            for key, c in terms.items():
-                if len(key) != n or any(not 0 <= m < 8 for m in key):
-                    raise ValueError(f"bad tensor key {key!r}")
-                if not abs(c) < PRUNE_EPS:
-                    self.terms[key] = float(c)
-
-    @classmethod
-    def scalar(cls, n: int, value: float) -> TensorG3:
-        return cls(n, {(0,) * n: value})
-
-    @classmethod
-    def from_slot(cls, n: int, k: int, mv: Multivector) -> TensorG3:
-        """Embed a three-generator element into slot k (1-based)."""
-        if mv.dim != 3:
-            raise ValueError("slot elements must have three generators")
-        require_real(mv)
-        if not 1 <= k <= n:
-            raise ValueError(f"slot {k} out of range 1..{n}")
-        terms = {}
-        for mask, c in mv.terms.items():
-            key = [0] * n
-            key[k - 1] = mask
-            terms[tuple(key)] = c.real
-        return cls(n, terms)
-
-    def __add__(self, other: TensorG3) -> TensorG3:
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return TensorG3(self.n, out)
-
-    def __sub__(self, other: TensorG3) -> TensorG3:
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: float) -> TensorG3:
-        return TensorG3(self.n, {k: scalar * c for k, c in self.terms.items()})
-
-    def __mul__(self, other: TensorG3 | float) -> TensorG3:
-        if isinstance(other, (int, float)):
-            return TensorG3(self.n, {k: c * other for k, c in self.terms.items()})
-        self._check(other)
-        out: dict[tuple[int, ...], float] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                sign = 1
-                key = []
-                for ma, mb in zip(ka, kb):
-                    s, m = blade_product(ma, mb)
-                    sign *= s
-                    key.append(m)
-                tkey = tuple(key)
-                out[tkey] = out.get(tkey, 0.0) + sign * ca * cb
-        return TensorG3(self.n, out)
-
-    def _check(self, other: TensorG3) -> None:
-        if self.n != other.n:
-            raise ValueError(f"slot count mismatch: {self.n} vs {other.n}")
-
-    def isclose(self, other: TensorG3) -> bool:
-        return self.n == other.n and max_abs_diff(self.terms, other.terms) <= EQ_TOL
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorG3):
-            return NotImplemented
-        return self.isclose(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {c:g}" for k, c in sorted(self.terms.items()))
-        return f"<TensorG3 n={self.n} {{{body}}}>"
+    if not 1 <= n <= 3:
+        raise ValueError(f"slot count {n} out of range 1..3")
+    if not 1 <= k <= n:
+        raise ValueError(f"slot {k} out of range 1..{n}")
+    return Multivector(G3 * n, {0b011 << G3 * (k - 1): 1.0})
 
 
-def slot_complex_structure(n: int, k: int) -> TensorG3:
-    """The element i s3 placed in slot k; right multiplication realizes J_k."""
-    return TensorG3.from_slot(n, k, _I_SIGMA3)
-
-
-def correlator(n: int) -> TensorG3:
+def correlator(n: int) -> Multivector:
     """Idempotent identifying the complex structures of the n copies."""
     if not 2 <= n <= 3:
         raise ValueError(f"correlator defined for 2..3 slots, got {n}")
-    out = TensorG3.scalar(n, 1.0)
+    out = Multivector.scalar(G3 * n, 1.0)
     j1 = slot_complex_structure(n, 1)
     for k in range(2, n + 1):
-        out = out * (TensorG3.scalar(n, 0.5) - 0.5 * (j1 * slot_complex_structure(n, k)))
+        out = out * (0.5 - 0.5 * (j1 * slot_complex_structure(n, k)))
     return out
 
 
@@ -288,6 +211,9 @@ def bloch_verify(theta: float, phi: float) -> tuple[float, float, float]:
     Returns the rotated axis coordinates, (cos phi sin theta,
     sin phi sin theta, cos theta) for angles from bloch_angles.
     """
+    for name, angle in (("theta", theta), ("phi", phi)):
+        if not math.isfinite(angle):
+            raise ValueError(f"{name} must be finite, got {angle!r}")
     rot = exp_element(_QK * (phi / 2.0)) * exp_element(_QJ * (theta / 2.0))
     v = rot * _QK * rot.reverse()
     require_real(v)

@@ -4,15 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cliffsim.multivector import Multivector
 from cliffsim.real_ga import (
     _QI,
     _QJ,
     _QK,
-    TensorG3,
     bloch_angles,
     bloch_verify,
     c2_to_g3,
@@ -58,6 +55,11 @@ class TestQuaternionEncoding:
             a, b = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
             ra, rb = quat_coords(quat_encode(a, b))
             assert abs(ra - a) < 1e-14 and abs(rb - b) < 1e-14
+
+    @pytest.mark.parametrize("psi", [Multivector(5, {0: 1.0, 0b110: 2.0}), Multivector.scalar(2, 1.0)])
+    def test_coords_refuse_another_algebra(self, psi):
+        with pytest.raises(ValueError, match=f"expected a dim-3 multivector, got dim {psi.dim}"):
+            quat_coords(psi)
 
     def test_encoding_is_even(self):
         psi = quat_encode(0.3 + 0.7j, -0.2 + 0.1j)
@@ -218,7 +220,25 @@ class TestRealComplexQubit:
 class TestTensorAndCorrelator:
     def test_correlator_two_slots(self):
         e2 = correlator(2)
-        assert e2.terms == {(0, 0): 0.5, (0b011, 0b011): -0.5}
+        assert e2.terms == {0: 0.5, 0b011011: -0.5}
+
+    def test_correlator_three_slots(self):
+        # symmetric in the copies: each pair J_j J_k enters with -1/4
+        j1, j2, j3 = 0b011, 0b011 << 3, 0b011 << 6
+        assert correlator(3).terms == {0: 0.25, j1 | j2: -0.25, j1 | j3: -0.25, j2 | j3: -0.25}
+
+    def test_complex_structures_square_to_minus_one(self):
+        for n in (2, 3):
+            for k in range(1, n + 1):
+                jk = slot_complex_structure(n, k)
+                assert (jk * jk).terms == {0: -1}
+
+    def test_complex_structures_commute(self):
+        for n in (2, 3):
+            js = [slot_complex_structure(n, k) for k in range(1, n + 1)]
+            for a in js:
+                for b in js:
+                    assert (a * b).terms == (b * a).terms
 
     def test_correlator_identifies_complex_structures(self):
         for n in (2, 3):
@@ -235,7 +255,7 @@ class TestTensorAndCorrelator:
 
     def test_slots_commute(self):
         a = slot_complex_structure(2, 1)
-        b = TensorG3.from_slot(2, 2, sigma(1))
+        b = Multivector(6, {0b001 << 3: 1.0})  # sigma1 of copy 2
         assert (a * b).terms == (b * a).terms
 
     def test_range_validation(self):
@@ -243,59 +263,13 @@ class TestTensorAndCorrelator:
             correlator(1)
         with pytest.raises(ValueError):
             correlator(4)
-        with pytest.raises(ValueError):
-            TensorG3.from_slot(2, 3, sigma(1))
+        with pytest.raises(ValueError, match="slot 3 out of range 1..2"):
+            slot_complex_structure(2, 3)
+        with pytest.raises(ValueError, match="slot 0 out of range 1..2"):
+            slot_complex_structure(2, 0)
         for n in (0, 4):
-            with pytest.raises(ValueError, match=f"tensor slot count {n} out of range 1..3"):
-                TensorG3(n)
-        for key in ((0,), (0, 8), (0, -1)):
-            with pytest.raises(ValueError, match="bad tensor key"):
-                TensorG3(2, {key: 1.0})
-        with pytest.raises(ValueError, match="slot elements must have three generators"):
-            TensorG3.from_slot(2, 1, Multivector.scalar(2, 1.0))
-        with pytest.raises(ValueError, match="slot count mismatch: 2 vs 3"):
-            TensorG3.scalar(2, 1.0) * TensorG3.scalar(3, 1.0)
-
-    def test_scalar_arithmetic(self):
-        t = TensorG3.scalar(2, 2.0) - TensorG3.scalar(2, 0.5)
-        assert t.terms == {(0, 0): 1.5}
-        assert (0.5 * t).terms == {(0, 0): 0.75}
-
-    def test_right_scalar_product_equals_left(self):
-        t = TensorG3(2, {(1, 0): 0.3, (0, 3): -1.5})
-        for s in (0.5, 3, -0.1, 1e-14):
-            assert {k: c.hex() for k, c in (t * s).terms.items()} == {k: c.hex() for k, c in (s * t).terms.items()}
-        assert (t * 2).terms == {(1, 0): 0.6, (0, 3): -3.0}
-        assert (t * 1e-14).terms == {(0, 3): -1.5e-14}  # 3e-15 is pruned
-
-    def test_equality_with_another_type_and_repr(self):
-        t = TensorG3(2, {(1, 0): 0.3, (0, 3): -1.5})
-        assert t.__eq__(3) is NotImplemented
-        assert (t == 3) is False and (t != 3) is True
-        assert repr(t) == "<TensorG3 n=2 {(0, 3): -1.5, (1, 0): 0.3}>"
-        assert repr(TensorG3(1)) == "<TensorG3 n=1 {}>"
-
-    def test_nan_term_is_kept(self):
-        t = TensorG3(2, {(0, 0): 1.0, (1, 2): math.nan, (3, 0): 1e-15})
-        assert set(t.terms) == {(0, 0), (1, 2)} and math.isnan(t.terms[1, 2])
-        assert t != TensorG3.scalar(2, 1.0) and TensorG3.scalar(2, 1.0) != t
-        assert not t.isclose(t)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_non_finite_coefficient_is_never_close(self, data):
-        # One NaN or inf, at a drawn position in dict order, among finite terms
-        n = data.draw(st.integers(1, 3))
-        keys = st.tuples(*[st.integers(0, 7)] * n)
-        finite = st.floats(-4, 4, allow_nan=False)
-        terms = data.draw(st.dictionaries(keys, finite, max_size=6))
-        key, bad = data.draw(keys), data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-        items = [(k, c) for k, c in terms.items() if k != key]
-        items.insert(data.draw(st.integers(0, len(items))), (key, bad))
-        x, y = TensorG3(n, terms), TensorG3(n, dict(items))
-        for a, b in ((x, y), (y, x), (y, y)):
-            assert not a.isclose(b)
-            assert a != b
+            with pytest.raises(ValueError, match=f"slot count {n} out of range 1..3"):
+                slot_complex_structure(n, 1)
 
 
 class TestBloch:
@@ -336,6 +310,13 @@ class TestBloch:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             bloch_angles(1, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_verify_refuses_non_finite_angle(self, bad):
+        with pytest.raises(ValueError, match=f"theta must be finite, got {bad!r}"):
+            bloch_verify(bad, 0.0)
+        with pytest.raises(ValueError, match=f"phi must be finite, got {bad!r}"):
+            bloch_verify(0.0, bad)
 
     def test_verify_consistency_with_angles(self):
         rng = np.random.default_rng(31)
