@@ -69,9 +69,12 @@ def quat_encode(alpha: complex, beta: complex) -> Multivector:
 
 
 def quat_coords(psi: Multivector) -> tuple[complex, complex]:
-    """Amplitude pair recovered from an even element."""
+    """Amplitude pair of a real even element; ``ValueError`` on an odd or imaginary part."""
     if psi.dim != G3:
         raise ValueError(f"expected a dim-3 multivector, got dim {psi.dim}")
+    odd = nan_max(abs(c) for m, c in psi.terms.items() if m.bit_count() & 1)
+    if not odd <= EQ_TOL:
+        raise ValueError(f"element has an odd part up to {odd:.3e}")
     require_real(psi)
     a0 = psi.coefficient(0b000).real
     a1 = psi.coefficient(0b110).real
@@ -83,8 +86,8 @@ def quat_coords(psi: Multivector) -> tuple[complex, complex]:
 def quat_inner(phi: Multivector, psi: Multivector) -> complex:
     """Hermitian product on even elements, complex-valued."""
     prod = phi.reverse() * psi
-    re = prod.scalar_part().real
-    im = -(prod * _I_SIGMA3).scalar_part().real
+    re = prod.coefficient(0).real
+    im = -(prod * _I_SIGMA3).coefficient(0).real
     return complex(re, im)
 
 
@@ -114,7 +117,7 @@ def c2_to_g3(x: Multivector) -> Multivector:
     v = x.coefficient(0b10)
     w = x.coefficient(0b11)
     coords = (s + 1j * w, u + 1j * v, u - 1j * v, -2j * w)
-    out = Multivector.zero(G3)
+    out = Multivector(G3)
     for c, img in zip(coords, _C2_IMAGES):
         out = out + c.real * img + c.imag * (_PSEUDO * img)
     return out
@@ -132,8 +135,8 @@ def rc_encode(alpha: complex, beta: complex) -> Multivector:
 def rc_inner(phi: Multivector, psi: Multivector) -> complex:
     """Transported Hermitian product (normalized so basis states have norm 1)."""
     prod = phi.reverse() * psi
-    re = 2.0 * prod.scalar_part().real
-    im = -2.0 * (prod * _PSEUDO).scalar_part().real
+    re = 2.0 * prod.coefficient(0).real
+    im = -2.0 * (prod * _PSEUDO).coefficient(0).real
     return complex(re, im)
 
 

@@ -26,7 +26,7 @@ def ket_by_definition():
     """
 
     def ket(ctx, amplitudes):
-        out = Multivector.zero(ctx.dim)
+        out = Multivector(ctx.dim)
         for k, a in enumerate(amplitudes):
             if a:
                 word = ctx.one()

@@ -231,7 +231,7 @@ class TestKetBra:
         assert ketbra(ctx1, [1], [0]).terms == ctx1.fdag(1).terms
 
     def test_completeness(self, ctx2):
-        total = Multivector.zero(ctx2.dim)
+        total = Multivector(ctx2.dim)
         for k in range(4):
             bits = index_bits(k, 2)
             total = total + ketbra(ctx2, bits, bits)
@@ -505,7 +505,7 @@ class TestApplication:
             apply(build_gate(ctx1, "x", (1,)), basis_state(ctx2, [0, 0]))
 
     def test_empty_table_gives_zero_state(self, ctx2):
-        g = super_tensor(ctx2, [Multivector.zero(ctx2.dim), None])
+        g = super_tensor(ctx2, [Multivector(ctx2.dim), None])
         assert g.paulis == ()
         s = amplitudes_to_state(ctx2, [0.5, 0.5j, -0.5, 0.5])
         assert apply(g, s).amplitudes.tobytes() == np.zeros(4, dtype=complex).tobytes()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cliffsim.circuit import Circuit, GateOp, parse_circuit, run_clifford
 from cliffsim.gates import GATE_SPECS, apply_all, build_gate
 from cliffsim.matrix_backend import (
+    MAX_DENSE_QUBITS,
     compare_backends,
     gate_matrix,
     random_circuit,
@@ -266,17 +267,44 @@ def _inverse(op: GateOp) -> GateOp:
     return op
 
 
-@pytest.mark.parametrize("seed", range(18))
-def test_mirror_circuit_returns_the_initial_state(seed):
+@pytest.mark.parametrize("name", sorted(GATE_SPECS))
+def test_inverse_undoes_each_registry_gate_on_the_oracle(name):
+    # _inverse reads only the op's name and parameters, so the oracle checks it independently
+    rng = np.random.default_rng(7600)
+    spec = GATE_SPECS[name]
+    for _ in range(20 if spec.params else 1):
+        if name == "phase":
+            params = (float(rng.uniform(-2 * math.pi, 2 * math.pi)),)
+        elif name == "u2":
+            u = random_unitary_2x2(rng)
+            params = tuple(x for e in u.flat for x in (e.real, e.imag))
+        else:
+            params = ()
+        op = GateOp(name, tuple(range(1, spec.wires + 1)), params)
+        inverse = _inverse(op)
+        product = gate_matrix(inverse.name, inverse.params) @ gate_matrix(op.name, op.params)
+        assert np.max(np.abs(product - np.eye(2**spec.wires))) <= 1e-12, (op, inverse)
+
+
+# Seeds 0-17 mirror short circuits on n <= 6 through both backends; seeds 18-21
+# mirror depth-100 circuits at n = 13 and 16, above MAX_DENSE_QUBITS, where
+# only run_clifford runs and the kernel's parity and block arithmetic is seen.
+_MIRROR_CASES = [pytest.param(seed % 6 + 1, seed, id=str(seed)) for seed in range(18)] + [
+    pytest.param(n, seed, id=str(seed)) for n, seed in ((13, 18), (13, 19), (16, 20), (16, 21))
+]
+
+
+@pytest.mark.parametrize("n, seed", _MIRROR_CASES)
+def test_mirror_circuit_returns_the_initial_state(n, seed):
     # Proctor et al., PRL 129, 150502 (2022): a circuit and then its inverse is the identity
     rng = np.random.default_rng(7500 + seed)
-    n = seed % 6 + 1
-    circuit = random_circuit(rng, n, int(rng.integers(1, 31)))
+    depth = 100 if n > MAX_DENSE_QUBITS else int(rng.integers(1, 31))
+    circuit = random_circuit(rng, n, depth)
     mirror = Circuit(n, circuit.ops + tuple(_inverse(op) for op in reversed(circuit.ops)))
     bits = [int(b) for b in rng.integers(0, 2, size=n)]
     initial = np.zeros(2**n, dtype=complex)
     initial[int("".join(map(str, bits)), 2)] = 1.0
-    for run in (run_matrix, run_clifford):
+    for run in (run_matrix, run_clifford) if n <= MAX_DENSE_QUBITS else (run_clifford,):
         assert np.max(np.abs(run(mirror, bits).amplitudes - initial)) <= 1e-12, run.__name__
 
 

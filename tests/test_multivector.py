@@ -105,7 +105,7 @@ class TestGeometricProduct:
         f = Multivector(2, {0b01: 0.5, 0b10: -0.5j})
         fd = Multivector(2, {0b01: 0.5, 0b10: 0.5j})
         prod = f * fd
-        assert prod.scalar_part() == 0.5
+        assert prod.coefficient(0) == 0.5
         assert prod.terms == (Multivector.scalar(2, 0.5) + f.outer(fd)).terms
 
     def test_vector_product_is_blade(self):
@@ -197,7 +197,7 @@ class TestHermitianInner:
         for _ in range(20):
             x = random_multivector(rng, 4)
             y = random_multivector(rng, 4)
-            assert abs(hermitian_inner(x, y) - (x.dagger() * y).scalar_part()) < 1e-12
+            assert abs(hermitian_inner(x, y) - (x.dagger() * y).coefficient(0)) < 1e-12
 
     def test_matches_signed_formula_bit_for_bit(self):
         # Reference: the sum with a per-blade sign, reverse(A) times the sign
@@ -278,48 +278,27 @@ class TestAlgebraLaws:
 
 class TestExp:
     def test_exp_of_zero(self):
-        zero = Multivector.zero(2)
+        zero = Multivector(2)
         assert exp_element(zero).terms == {0: 1 + 0j}
 
     def test_scalar_exponential(self):
         x = Multivector.scalar(2, 1j * math.pi)
-        got = exp_element(x).scalar_part()
+        got = exp_element(x).coefficient(0)
         assert abs(got - (-1)) < 1e-12
 
-    def test_series_matches_matrix_series(self):
-        # Element without scalar square, checked against a dense-matrix series.
-        from cliffsim.gates import super_tensor
-        from cliffsim.witt import SpinorState, WittContext, basis_state, index_bits, state_to_amplitudes
-
-        ctx = WittContext(2)
-        x = super_tensor(
-            ctx, [ctx.proj1(1), 0.37j * (ctx.f(2) + ctx.fdag(2))]
-        ).value
-        assert set((x * x).terms) - {0}
-
-        series = exp_element(x)
-        # independent route: same series on 4x4 matrices K (x) X
-        k = np.diag([0.0, 1.0]).astype(complex)
-        xm = np.array([[0, 1], [1, 0]], dtype=complex)
-        gen = 0.37j * np.kron(k, xm)
-        acc = np.eye(4, dtype=complex)
-        term = np.eye(4, dtype=complex)
-        for i in range(1, 40):
-            term = term @ gen / i
-            acc += term
-        # compare action on the spinor ideal through amplitudes
-        for col in range(4):
-            state = SpinorState(ctx, series * basis_state(ctx, index_bits(col, 2)).value)
-            amps = state_to_amplitudes(ctx, state)
-            assert max(abs(a - b) for a, b in zip(amps, acc[:, col])) < 1e-12
-
-    def test_non_convergence_raises(self):
+    def test_non_scalar_square_raises(self):
         f1 = Multivector(4, {0b0001: 0.5, 0b0100: -0.5j})
         fd1 = Multivector(4, {0b0001: 0.5, 0b0100: 0.5j})
         f2 = Multivector(4, {0b0010: 0.5, 0b1000: -0.5j})
         x = 50.0 * (fd1 * f1) * (f2 + f2.dagger())
-        with pytest.raises(ArithmeticError):
+        assert set((x * x).terms) - {0}
+        with pytest.raises(ValueError, match=r"x\*x is not a scalar"):
             exp_element(x)
+
+    @pytest.mark.parametrize("c", [1e155, math.nan, math.inf])
+    def test_non_finite_square_raises(self, c):
+        with pytest.raises(ValueError, match=r"x\*x is not finite"):
+            exp_element(Multivector(1, {0b1: c}))
 
 
 class TestDeviation:

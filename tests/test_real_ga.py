@@ -61,6 +61,14 @@ class TestQuaternionEncoding:
         with pytest.raises(ValueError, match=f"expected a dim-3 multivector, got dim {psi.dim}"):
             quat_coords(psi)
 
+    @pytest.mark.parametrize("c", [5.0, 2e-12j, math.nan])
+    def test_coords_refuse_an_odd_part(self, c):
+        with pytest.raises(ValueError, match="odd part up to"):
+            quat_coords(Multivector(3, {0: 1.0, 0b001: c}))
+        with pytest.raises(ValueError, match="odd part up to"):
+            quat_coords(Multivector(3, {0b011: 1.0, 0b111: c}))
+        assert quat_coords(Multivector(3, {0: 1.0, 0b001: 1e-13})) == (1, 0)
+
     def test_encoding_is_even(self):
         psi = quat_encode(0.3 + 0.7j, -0.2 + 0.1j)
         assert all(m.bit_count() % 2 == 0 for m in psi.terms)
@@ -317,6 +325,15 @@ class TestBloch:
             bloch_verify(bad, 0.0)
         with pytest.raises(ValueError, match=f"phi must be finite, got {bad!r}"):
             bloch_verify(0.0, bad)
+
+    def test_verify_names_a_square_that_overflows(self):
+        # (theta/2)^2 overflows for theta above about 2.7e154, though theta is finite
+        with pytest.raises(ValueError, match=r"x\*x is not finite"):
+            bloch_verify(2.7e154, 0.0)
+        with pytest.raises(ValueError, match=r"x\*x is not finite"):
+            bloch_verify(0.0, 2.7e154)
+        x, y, z = bloch_verify(1e150, 0.0)
+        assert abs(x * x + y * y + z * z - 1.0) < 1e-12
 
     def test_verify_consistency_with_angles(self):
         rng = np.random.default_rng(31)

@@ -47,3 +47,19 @@ def test_readme_layout_names_only_what_exists():
         names = [n for n in re.findall(r"`([^`]+)`", contents) if n.isidentifier() and n != "cliffsim"]
         missing += [f"{module_name}: {n}" for n in names if n not in known]
     assert not missing, missing
+
+
+def test_private_names_cross_only_the_pinned_module_boundaries():
+    # A private name imported from a sibling module couples the two; these four are the kernel's seams.
+    allowed = {
+        ("circuit", "gates", "_apply_tables"),
+        ("circuit", "gates", "_gate_table"),
+        ("gates", "witt", "_pauli_string"),
+        ("gates", "witt", "_paulis_to_blades"),
+    }
+    crossing = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossing |= {(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")}
+    assert crossing <= allowed, sorted(crossing - allowed)

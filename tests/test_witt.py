@@ -44,7 +44,7 @@ class TestContextConstruction:
         ctx = WittContext(2)
         expected = ctx.f(1) * ctx.fdag(1) * ctx.f(2) * ctx.fdag(2)
         assert ctx.idempotent.terms == expected.terms
-        assert ctx.idempotent.scalar_part() == 0.25
+        assert ctx.idempotent.coefficient(0) == 0.25
 
     def test_qubit_count_range(self):
         with pytest.raises(ValueError):
@@ -331,7 +331,7 @@ class TestWittRendering:
     def test_render_strings(self):
         ctx = WittContext(1)
         assert render_witt(witt_coordinates(ctx.f(1) + ctx.fdag(1))) == "f1 + f1†"
-        assert render_witt(witt_coordinates(Multivector.zero(ctx.dim))) == "0"
+        assert render_witt(witt_coordinates(Multivector(ctx.dim))) == "0"
         z = ctx.proj0(1) - ctx.proj1(1)
         assert render_witt(witt_coordinates(z)) == "1 - 2 f1†f1"
 
@@ -346,7 +346,7 @@ class TestWittRendering:
             }
             mv = Multivector(ctx.dim, terms)
             coords = witt_coordinates(mv)
-            rebuilt = Multivector.zero(ctx.dim)
+            rebuilt = Multivector(ctx.dim)
             for codes, c in coords.items():
                 word = ctx.one()
                 for k, code in enumerate(codes, start=1):
