@@ -90,6 +90,9 @@ def _print_run_json(backend: str, amps: np.ndarray, deviation: float | None) -> 
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.json and args.show_algebra:
+        print("error: --show-algebra prints text, so it cannot be combined with --json", file=sys.stderr)
+        return EXIT_USAGE
     try:
         with open(args.circuit, encoding="utf-8") as fh:
             # Drop a leading byte-order mark as the utf-8-sig codec would, without
@@ -253,7 +256,8 @@ def cmd_gate_dump(args: argparse.Namespace) -> int:
     params = ([] if args.param is None else [args.param]) + (args.u2 or [])
     try:
         wires = args.wires or list(range(1, gate_spec(name).wires + 1))
-        n = max(wires) if args.qubits is None else args.qubits
+        # Without --qubits the register fits the wires, so a bad wire is the one refused.
+        n = min(max(max(wires), 1), MAX_QUBITS) if args.qubits is None else args.qubits
         g = build_gate(WittContext(n), name, wires, params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -145,9 +145,6 @@ class Multivector:
     def __neg__(self) -> Multivector:
         return Multivector._from_raw(self.dim, {m: -c for m, c in self.terms.items()})
 
-    def __truediv__(self, scalar: complex) -> Multivector:
-        return self * (1.0 / complex(scalar))
-
     # -- products ------------------------------------------------------------
 
     def __mul__(self, other: Multivector | complex) -> Multivector:
@@ -205,13 +202,6 @@ class Multivector:
     def max_coeff_diff(self, other: Multivector) -> float:
         self._check_compatible(other)
         return max_abs_diff(self.terms, other.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.isclose(other)
-
-    __hash__ = None  # type: ignore[assignment]
 
     # -- rendering ---------------------------------------------------------------
 

@@ -40,14 +40,6 @@ def sigma(k: int) -> Multivector:
     return Multivector.basis_vector(G3, k)
 
 
-def pseudoscalar() -> Multivector:
-    return _PSEUDO
-
-
-def real_idempotent() -> Multivector:
-    return _IDEM_R
-
-
 def require_real(mv: Multivector) -> None:
     """Raise if any coefficient has an imaginary part above ``EQ_TOL``, or a NaN one."""
     worst = nan_max(abs(c.imag) for c in mv.terms.values())

@@ -18,7 +18,7 @@ import cliffsim.cli
 import cliffsim.gates
 import cliffsim.matrix_backend
 import cliffsim.witt
-from cliffsim.circuit import CircuitError, parse_circuit, run_bytes, run_clifford
+from cliffsim.circuit import CircuitError, parse_bits, parse_circuit, run_bytes, run_clifford
 from cliffsim.cli import main
 from cliffsim.gates import build_gate
 from cliffsim.witt import WittContext, _paulis_to_blades, amplitudes_to_state
@@ -252,19 +252,29 @@ class TestRun:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
-    @pytest.mark.parametrize("n,backend", [(13, "clifford"), (12, "both")])
-    def test_json_is_the_payload_dumped_whole(self, tmp_path, capsys, n, backend):
-        # at 13 qubits the lists are written in two blocks
+    @pytest.mark.parametrize(
+        "n,backend,flags",
+        [
+            pytest.param(13, "clifford", [], id="13-clifford"),
+            pytest.param(12, "both", [], id="12-both"),
+            pytest.param(4, "both", ["--probabilities"], id="4-both-probabilities"),
+            pytest.param(5, "both", ["--init", "10110"], id="5-both-init"),
+            pytest.param(5, "clifford", ["--probabilities", "--init", "01101"], id="5-clifford-probabilities-init"),
+        ],
+    )
+    def test_json_is_the_payload_dumped_whole(self, tmp_path, capsys, n, backend, flags):
+        # at 13 qubits the lists are written in two blocks; --probabilities adds nothing to the object
         path = tmp_path / "ladder.qc"
         path.write_text(ladder(n))
-        assert main(["run", "--json", "--backend", backend, str(path)]) == 0
+        assert main(["run", "--json", "--backend", backend, *flags, str(path)]) == 0
         circuit = parse_circuit(path.read_text())
-        amps = run_clifford(circuit).amplitudes.tolist()
+        bits = parse_bits(flags[flags.index("--init") + 1], n) if "--init" in flags else None
+        amps = run_clifford(circuit, bits).amplitudes.tolist()
         payload = {
             "backend": backend,
             "amplitudes": [[a.real, a.imag] for a in amps],
             "probabilities": [abs(a) ** 2 for a in amps],
-            "deviation": cliffsim.matrix_backend.compare_backends(circuit).max_deviation if backend == "both" else None,
+            "deviation": cliffsim.matrix_backend.compare_backends(circuit, bits).max_deviation if backend == "both" else None,
         }
         assert capsys.readouterr().out == json.dumps(payload) + "\n"
 
@@ -287,6 +297,11 @@ class TestRun:
         code, growth = proc.stderr.split()
         assert code == "0"
         assert int(growth) <= run_bytes(n)
+
+    def test_json_with_show_algebra_exits_2(self, tmp_path, capsys):
+        # refused before the file is read: the missing file goes unreported
+        assert main(["run", "--json", "--show-algebra", str(tmp_path / "missing.qc")]) == 2
+        assert capsys.readouterr() == ("", "error: --show-algebra prints text, so it cannot be combined with --json\n")
 
     def test_show_algebra_runs_the_circuit_once(self, bell_file, capsys, monkeypatch):
         calls = []
@@ -662,6 +677,12 @@ class TestGateDump:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"qubit count {qubits} out of range 1..32" in captured.err
+
+    @pytest.mark.parametrize("wire,n", [("0", 1), ("40", 32)])
+    def test_wire_out_of_range_without_qubits_names_the_wire(self, capsys, wire, n):
+        # the register is sized from the wires and clamped to 1..32, so the wire is what is refused
+        assert main(["gate-dump", "x", "--wires", wire]) == 2
+        assert capsys.readouterr() == ("", f"error: wire {wire} out of range 1..{n}\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -326,7 +326,6 @@ class TestDeviation:
         bad = Multivector(dim, terms)
         for a, b in ((bad, x), (x, bad), (bad, bad)):
             assert not a.isclose(b) and not a.isclose(b, 1e300)
-            assert a != b
             assert not a.max_coeff_diff(b) <= EQ_TOL
         assert math.isnan(bad.max_coeff_diff(bad))
         # |c - y| of a NaN c is NaN unless c has an infinite part, whose modulus is inf
@@ -334,7 +333,7 @@ class TestDeviation:
             assert math.isnan(bad.max_coeff_diff(x)) and math.isnan(x.max_coeff_diff(bad))
 
     def test_nan_is_not_equal_to_the_zero_element(self):
-        assert Multivector(2, {0: math.nan}) != Multivector(2)
+        assert not Multivector(2, {0: math.nan}).isclose(Multivector(2))
         assert not Multivector(2, {0: math.nan}).isclose(Multivector(2, {0: math.nan}))
 
 
@@ -354,9 +353,9 @@ class TestHygiene:
     def test_equality_tolerance(self):
         x = Multivector.scalar(2, 1.0)
         y = Multivector.scalar(2, 1.0 + EQ_TOL / 10)
-        assert x == y
+        assert x.isclose(y)
         z = Multivector.scalar(2, 1.0 + 1e-9)
-        assert x != z
+        assert not x.isclose(z)
 
     def test_mask_out_of_range(self):
         with pytest.raises(ValueError):
@@ -405,19 +404,12 @@ class TestScalarOperands:
         }
         assert (self.X + 2j).terms == {0: 1.5 + 2j, 0b01: 2j, 0b11: -0.25 + 0j}
 
-    def test_divide_by_a_number(self):
-        # x / s is x * (1 / s)
-        assert (self.X / 2).terms == {0: 0.75 + 0j, 0b01: 1j, 0b11: -0.125 + 0j}
-        assert _hex_terms(self.X / 4j) == _hex_terms(self.X * (1.0 / 4j))
-        assert (self.X / 4j).terms == {0: -0.375j, 0b01: 0.5 + 0j, 0b11: 0.0625j}
-
     def test_other_operands_are_not_implemented(self):
         assert self.X.__add__("a") is NotImplemented
         assert self.X.__mul__(None) is NotImplemented
         assert self.X.__rmul__(None) is NotImplemented
-        assert self.X.__eq__(3) is NotImplemented
-        assert (self.X == 3) is False and (self.X != 3) is True
-        for bad in (lambda: self.X + "a", lambda: self.X * None, lambda: None * self.X):
+        # x * (1 / s) is the one way to scale
+        for bad in (lambda: self.X + "a", lambda: self.X * None, lambda: None * self.X, lambda: self.X / 2):
             with pytest.raises(TypeError):
                 bad()
 

@@ -15,7 +15,6 @@ from cliffsim.real_ga import (
     c2_to_g3,
     correlator,
     iso_check,
-    pseudoscalar,
     quat_coords,
     quat_encode,
     quat_inner,
@@ -24,11 +23,15 @@ from cliffsim.real_ga import (
     rc_encode,
     rc_inner,
     rc_pauli,
-    real_idempotent,
     require_real,
     sigma,
     slot_complex_structure,
 )
+
+# The images the isomorphism fixes: the imaginary unit goes to the pseudoscalar
+# s1 s2 s3, the vacuum idempotent to (1 + s3)/2.
+PSEUDOSCALAR = Multivector(3, {0b111: 1.0})
+IDEMPOTENT = Multivector(3, {0: 0.5, 0b100: 0.5})
 
 PAULI = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -153,10 +156,10 @@ class TestC2ToG3:
         f, fd = _c2_witt()
         assert c2_to_g3(fd).terms == (0.5 * (sigma(1) + sigma(1) * sigma(3))).terms
         assert c2_to_g3(f).terms == (0.5 * (sigma(1) - sigma(1) * sigma(3))).terms
-        assert c2_to_g3(f * fd).terms == real_idempotent().terms
+        assert c2_to_g3(f * fd).terms == IDEMPOTENT.terms
         one = Multivector.scalar(2, 1.0)
         assert c2_to_g3(one).terms == {0: 1 + 0j}
-        assert c2_to_g3(1j * one).terms == pseudoscalar().terms
+        assert c2_to_g3(1j * one).terms == PSEUDOSCALAR.terms
         assert c2_to_g3(1j * f).terms == (0.5 * (sigma(2) * sigma(3) - sigma(2))).terms
         assert c2_to_g3(1j * fd).terms == (0.5 * (sigma(2) * sigma(3) + sigma(2))).terms
 
@@ -186,12 +189,12 @@ class TestC2ToG3:
 
 class TestRealComplexQubit:
     def test_basis_images(self):
-        assert rc_encode(1, 0).terms == real_idempotent().terms
-        assert rc_encode(0, 1).terms == (sigma(1) * real_idempotent()).terms
+        assert rc_encode(1, 0).terms == IDEMPOTENT.terms
+        assert rc_encode(0, 1).terms == (sigma(1) * IDEMPOTENT).terms
 
     def test_pauli_x_on_vacuum(self):
         got = rc_pauli(1, rc_encode(1, 0))
-        assert got.terms == (sigma(1) * real_idempotent()).terms
+        assert got.terms == (sigma(1) * IDEMPOTENT).terms
 
     def test_inner_matches_coordinates(self):
         rng = np.random.default_rng(19)
@@ -222,7 +225,7 @@ class TestRealComplexQubit:
 
     def test_idempotent_anchoring(self):
         psi = rc_encode(0.6, 0.8j)
-        assert (psi * real_idempotent()).max_coeff_diff(psi) < 1e-13
+        assert (psi * IDEMPOTENT).max_coeff_diff(psi) < 1e-13
 
 
 class TestTensorAndCorrelator:

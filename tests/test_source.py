@@ -63,3 +63,49 @@ def test_private_names_cross_only_the_pinned_module_boundaries():
             if isinstance(node, ast.ImportFrom) and node.level:
                 crossing |= {(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")}
     assert crossing <= allowed, sorted(crossing - allowed)
+
+
+# Public names that nothing outside their unit tests calls, each kept for a reason.
+UNCALLED_PUBLIC_NAMES = {
+    "circuit.render_circuit": "ROADMAP item 8's fuzz shrinker writes its minimal .qc files with it",
+    "gates.ketbra": "ROADMAP item 13 keeps it: the outer product |a><b| as an algebra element",
+    "multivector.hermitian_inner": "witt.spinor_inner is tested against it",
+    "witt.is_spinor": "membership in the spinor ideal",
+}
+
+
+def _names(tree):
+    """Names that ``tree`` reads or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_every_public_name_has_a_caller_beyond_its_unit_tests():
+    # A caller is any other top-level statement of the package, the benchmark
+    # or the acceptance suite; __init__ only re-exports, so it calls nothing.
+    root = SRC.parents[1]
+    statements = [
+        (path.stem, node, _names(node))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    outside = [*sorted((root / "bench").rglob("*.py")), root / "tests" / "test_acceptance.py"]
+    elsewhere = set().union(*(_names(ast.parse(p.read_text(), filename=str(p))) for p in outside))
+    uncalled = set()
+    for stem, node, _ in statements:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            callers = elsewhere.union(*(names for _, other, names in statements if other is not node))
+            if node.name not in callers:
+                uncalled.add(f"{stem}.{node.name}")
+    assert uncalled == set(UNCALLED_PUBLIC_NAMES), (
+        sorted(uncalled - set(UNCALLED_PUBLIC_NAMES)),
+        sorted(set(UNCALLED_PUBLIC_NAMES) - uncalled),
+    )
