@@ -6,7 +6,7 @@ multiplication.  A dense matrix statevector simulator is included as an
 independent oracle for differential testing.
 """
 
-from .circuit import Circuit, CircuitError, GateOp, parse_circuit, render_circuit, run_clifford
+from .circuit import Circuit, CircuitError, GateOp, parse_circuit, render_circuit
 from .gates import (
     GATE_SPECS,
     GateElement,
@@ -16,6 +16,7 @@ from .gates import (
     gate_from_u2,
     is_unitary,
     ketbra,
+    run_clifford,
     super_tensor,
 )
 from .matrix_backend import (

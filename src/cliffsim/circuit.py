@@ -8,14 +8,19 @@
 `phase` takes one angle parameter; `u2` takes eight (re/im pairs of the
 matrix entries a, b, c, d, row major).  `#` starts a comment; blank lines
 are ignored.
+
+The file format alone: circuits run through ``gates.run_clifford`` and
+``matrix_backend.run_matrix``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .gates import GATE_SPECS, GateOpError, _apply_tables, _gate_table, check_op, gate_spec
-from .witt import MAX_QUBITS, SpinorState, WittContext, basis_state
+from . import gates
+from .gates import GATE_SPECS, GateOpError, check_op, gate_spec
+from .witt import MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -38,24 +43,6 @@ class CircuitError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-def run_bytes(n_qubits: int) -> int:
-    """Estimated peak memory of `run_clifford`, and of `cliffsim run`, on an n-qubit register.
-
-    A run holds a gate's input and output amplitude vectors (16 * 2^n bytes
-    each) and one batch of the kernel's temporaries: the batch's tables and
-    their three flat columns (x masks, z masks, coefficients), and its source,
-    parity and signed coefficients at 32 bytes per entry, which take a fixed
-    few MiB whatever n (2 MiB for a batch of small gates, about 6 MiB for one
-    8-string gate).  `cliffsim run --json` writes its output a block at a
-    time.  Measured peak-RSS growth per run at n = 16..22 (Python 3.11,
-    numpy 2.4) was 2.05-2.8 vectors at n >= 18 and 5.1-5.3 one-MiB vectors
-    at n = 16, where the fixed part dominates; `cliffsim run --json` grew by
-    6.6 MiB at n = 16 and by 3.2 and 2.3 vectors at n = 18 and 20.  The
-    estimate is 4 vectors plus 8 MiB.
-    """
-    return 4 * 16 * 2**n_qubits + 8 * 2**20
 
 
 def _tokens(text_line: str) -> list[tuple[str, int]]:
@@ -99,7 +86,7 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
     A wire or qubit-count word of more digits than ``int`` converts is refused
     at its column.
     A register of more than ``max_qubits`` wires, or, with ``memory_bytes``,
-    one whose ``run_bytes`` exceeds it, is refused at its header.
+    one whose ``gates.run_bytes`` exceeds it, is refused at its header.
     """
     n_qubits: int | None = None
     ops: list[GateOp] = []
@@ -125,9 +112,9 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
                 raise CircuitError(f"qubit count of {len(word)} digits is too long", lineno, col) from None
             if not 1 <= n_qubits <= max_qubits:
                 raise CircuitError(f"qubit count {n_qubits} out of range 1..{max_qubits}", lineno, col)
-            if memory_bytes is not None and run_bytes(n_qubits) > memory_bytes:
+            if memory_bytes is not None and gates.run_bytes(n_qubits) > memory_bytes:
                 raise CircuitError(
-                    f"qubit count {n_qubits} needs about {run_bytes(n_qubits) / 2**30:.3g} GiB to run, "
+                    f"qubit count {n_qubits} needs about {gates.run_bytes(n_qubits) / 2**30:.3g} GiB to run, "
                     f"more than the {memory_bytes / 2**30:.3g} GiB of physical memory",
                     lineno,
                     col,
@@ -155,10 +142,10 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
 
 
 def render_circuit(circuit: Circuit) -> str:
-    """Text form that parses back to an identical circuit."""
+    """Text form that parses back to an identical circuit: wires by ``operator.index``, parameters as floats."""
     lines = [f"qubits {circuit.n_qubits}"]
     for op in circuit.ops:
-        parts = [op.name, *map(str, op.wires), *(f"{p!r}" for p in op.params)]
+        parts = [op.name, *(str(operator.index(w)) for w in op.wires), *(repr(float(p)) for p in op.params)]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -168,19 +155,3 @@ def parse_bits(text: str, n: int) -> tuple[int, ...]:
     if len(text) != n or any(c not in "01" for c in text):
         raise ValueError(f"expected a bitstring of {n} 0/1 characters, got {text!r}")
     return tuple(int(c) for c in text)
-
-
-def run_clifford(circuit: Circuit, init_bits=None) -> SpinorState:
-    """Evaluate the circuit in the Clifford-algebra backend.
-
-    Each op's table comes from ``gates._gate_table``, the builder behind
-    ``build_gate``, and goes straight to the kernel behind ``apply_all``: the
-    run builds no ``GateElement`` and no row.  Tables are built as the kernel
-    takes them, so a run holds one batch of tables and its columns at a time
-    whatever the circuit's length.
-    """
-    n = circuit.n_qubits
-    ctx = WittContext(n)
-    bits = tuple(init_bits) if init_bits is not None else (0,) * n
-    tables = (_gate_table(op.name, n, op.wires, op.params) for op in circuit.ops)
-    return _apply_tables(tables, basis_state(ctx, bits))

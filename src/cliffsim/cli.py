@@ -15,8 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuit import CircuitError, parse_bits, parse_circuit, run_clifford
-from .gates import build_gate, gate_spec
+from .circuit import CircuitError, parse_bits, parse_circuit
+from .gates import build_gate, gate_spec, run_clifford
 from .matrix_backend import BACKEND_TOL, MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
 from .witt import MAX_QUBITS, WittContext, amplitudes_to_state, ket_coordinates, paulis_coordinates, render_witt
 
@@ -28,6 +28,10 @@ EXIT_USAGE = 2
 # parameters, 448 B held and 456 B at peak under tracemalloc over 10^5 drawn
 # ops (the registry's mean is 187-204 B at n = 1..12).
 _FUZZ_OP_BYTES = 456
+
+# Bytes that `fuzz --json` keeps to the end per circuit, its result and payload
+# entry: the tracemalloc peak over 2000 and 4000 default circuits, 1458 and 1404 B.
+_FUZZ_RESULT_BYTES = 1460
 
 # Amplitudes per block of printed output: a block's Python objects and JSON
 # text take about 2 MiB.
@@ -163,6 +167,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         )
     elif args.circuits < 1:
         problem = f"--circuits must be at least 1, got {args.circuits}"
+    elif args.circuits * _FUZZ_RESULT_BYTES > _physical_memory():
+        problem = (
+            f"--circuits {args.circuits} needs about {args.circuits * _FUZZ_RESULT_BYTES / 2**30:.3g} GiB "
+            f"for its results, more than the {_physical_memory() / 2**30:.3g} GiB of physical memory"
+        )
     elif args.seed < 0:
         problem = f"--seed must be non-negative, got {args.seed}"
     else:

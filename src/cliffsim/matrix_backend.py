@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, GateOp, run_clifford
-from .gates import GATE_SPECS, UNITARY_TOL
+from .circuit import Circuit, GateOp
+from .gates import GATE_SPECS, UNITARY_TOL, run_clifford
 from .multivector import nan_max
 
 MAX_DENSE_QUBITS = 12
@@ -28,13 +28,9 @@ _FIXED_MATRICES: dict[str, np.ndarray] = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
     "h": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
     "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "cnot": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
+    "cnot": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
     "cz": np.diag([1, 1, 1, -1]).astype(complex),
-    "swap": np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
+    "swap": np.eye(4, dtype=complex)[[0, 2, 1, 3]],
     "ccnot": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
     "cswap": np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]],
 }
@@ -175,11 +171,7 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, depth: int) -> Circu
             params: tuple[float, ...] = (float(rng.uniform(0.0, 2.0 * math.pi)),)
         elif name == "u2":
             u = random_unitary_2x2(rng)
-            params = tuple(
-                float(x)
-                for entry in (u[0, 0], u[0, 1], u[1, 0], u[1, 1])
-                for x in (entry.real, entry.imag)
-            )
+            params = tuple(float(x) for entry in u.flat for x in (entry.real, entry.imag))
         else:
             params = ()
         ops.append(GateOp(name, wires, params))

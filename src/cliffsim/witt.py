@@ -15,7 +15,7 @@ The Jordan-Wigner map is the one bridge between blades and amplitudes: on the
 basis words e_w (wire w) acts as Z_1 ... Z_{w-1} X_w and e_{w+n} as the same
 times -i Z_w, so every blade is one Pauli string phase * X^x Z^z.
 ``_pauli_string`` and its inverse ``_blade_mask`` state it in closed form, and
-``_paulis_to_blades`` turns a table of strings into its blade form.  Every
+``paulis_to_blades`` turns a table of strings into its blade form.  Every
 blade form goes through them: a gate's (``gates.GateElement.value``) and a
 state's, the ket A I with A = sum_k a_k X^k (X^k moves I = |0> to |k>);
 ``SpinorState(ctx, x)`` reads the amplitudes back through them too.
@@ -87,7 +87,7 @@ def _blade_mask(x: int, z: int, n: int) -> tuple[int, complex]:
     return _wire_bits(x ^ b, n) | _wire_bits(b, n) << n, phase
 
 
-def _paulis_to_blades(n: int, paulis) -> Multivector:
+def paulis_to_blades(n: int, paulis) -> Multivector:
     """The element acting on the amplitudes as the rows (x, z, coeff): X^x Z^z is the blade ``_blade_mask(x, z)`` over its phase."""
     terms = {}
     for x, z, coeff in paulis:
@@ -193,7 +193,7 @@ class SpinorState:
 def _ket(ctx: WittContext, amplitudes: np.ndarray) -> Multivector:
     """A I with A = sum_k a_k X^k over the nonzero amplitudes a_k."""
     rows = [(k, 0, a) for k, a in enumerate(amplitudes.tolist()) if a]
-    return _paulis_to_blades(ctx.n, rows) * ctx.idempotent
+    return paulis_to_blades(ctx.n, rows) * ctx.idempotent
 
 
 def _coordinates(ctx: WittContext, x: Multivector) -> np.ndarray | None:

@@ -17,17 +17,20 @@ from cliffsim.circuit import (
     parse_bits,
     parse_circuit,
     render_circuit,
-    run_bytes,
-    run_clifford,
 )
-from cliffsim.gates import GATE_SPECS, GateElement
+from cliffsim.gates import GATE_SPECS, GateElement, run_bytes, run_clifford
 from cliffsim.matrix_backend import random_circuit, random_unitary_2x2
 from cliffsim.witt import state_to_amplitudes
 
 
 @st.composite
 def registry_circuits(draw):
-    """Circuits of registry gates on distinct wires; u2 lines hold a seeded unitary."""
+    """Circuits of registry gates on distinct wires; u2 lines hold a seeded unitary.
+
+    Each wire is an int, a ``numpy.int64`` or, for wire 1, ``True``, and each
+    parameter a float or a ``numpy.float64``: a hand-built circuit may hold any
+    of them, as ``run_clifford`` takes them.
+    """
     n = draw(st.integers(1, 5))
     names = sorted(name for name, spec in GATE_SPECS.items() if spec.wires <= n)
     ops = []
@@ -35,12 +38,14 @@ def registry_circuits(draw):
         name = draw(st.sampled_from(names))
         spec = GATE_SPECS[name]
         wires = tuple(draw(st.permutations(range(1, n + 1)))[: spec.wires])
+        wires = tuple(draw(st.sampled_from([int, np.int64] + [bool] * (w == 1)))(w) for w in wires)
         if name == "u2":
             u = random_unitary_2x2(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
             params = tuple(float(x) for e in u.flat for x in (e.real, e.imag))
         else:
             finite = st.floats(allow_nan=False, allow_infinity=False)
             params = tuple(draw(finite) for _ in range(spec.params))
+        params = tuple(draw(st.sampled_from([float, np.float64]))(p) for p in params)
         ops.append(GateOp(name, wires, params))
     return Circuit(n, tuple(ops))
 
@@ -268,7 +273,9 @@ class TestRoundTrip:
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(registry_circuits())
     def test_random_circuits_round_trip(self, circuit):
-        assert parse_circuit(render_circuit(circuit)) == circuit
+        parsed = parse_circuit(render_circuit(circuit))
+        assert parsed == circuit
+        assert run_clifford(parsed).amplitudes.tobytes() == run_clifford(circuit).amplitudes.tobytes()
 
     def test_render_starts_with_header(self):
         circuit = Circuit(2, (GateOp("x", (2,)),))
@@ -343,7 +350,7 @@ class TestRunClifford:
         # The Jordan-Wigner map lives in witt.py: refuse it there and under
         # every name by which a cliffsim module imported it.
         modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "cliffsim"]
-        for name in ("_wire_bits", "_below", "_pauli_string", "_blade_mask", "_paulis_to_blades"):
+        for name in ("_wire_bits", "_below", "_pauli_string", "_blade_mask", "paulis_to_blades"):
             original = getattr(cliffsim.witt, name)
             for module in modules:
                 for attr, obj in list(vars(module).items()):

@@ -18,10 +18,10 @@ import cliffsim.cli
 import cliffsim.gates
 import cliffsim.matrix_backend
 import cliffsim.witt
-from cliffsim.circuit import CircuitError, parse_bits, parse_circuit, run_bytes, run_clifford
+from cliffsim.circuit import CircuitError, parse_bits, parse_circuit
 from cliffsim.cli import main
-from cliffsim.gates import build_gate
-from cliffsim.witt import WittContext, _paulis_to_blades, amplitudes_to_state
+from cliffsim.gates import build_gate, run_bytes, run_clifford
+from cliffsim.witt import WittContext, amplitudes_to_state, paulis_to_blades
 
 BELL = "qubits 2\nh 1\ncnot 1 2\n"
 
@@ -323,10 +323,10 @@ class TestRun:
 
         def counted(*args):
             calls.append(args)
-            return _paulis_to_blades(*args)
+            return paulis_to_blades(*args)
 
-        monkeypatch.setattr(cliffsim.witt, "_paulis_to_blades", counted)
-        monkeypatch.setattr(cliffsim.gates, "_paulis_to_blades", counted)
+        monkeypatch.setattr(cliffsim.witt, "paulis_to_blades", counted)
+        monkeypatch.setattr(cliffsim.gates, "paulis_to_blades", counted)
         assert main(["run", "--show-algebra", bell_file]) == 0
         assert len(calls) == 1
         calls.clear()
@@ -543,6 +543,26 @@ class TestFuzz:
         assert captured.out == ""
         assert captured.err.startswith("error: --depth 11 needs about ") and "physical memory" in captured.err
         assert main([*argv, "--depth", "10"]) == 0
+
+    def test_circuits_beyond_memory_exits_2(self, capsys, monkeypatch):
+        # every circuit's result, up to _FUZZ_RESULT_BYTES each, is kept to the end
+        monkeypatch.setattr(cliffsim.cli, "_physical_memory", lambda: 10 * cliffsim.cli._FUZZ_RESULT_BYTES)
+        argv = ["fuzz", "--depth", "1", "--max-qubits", "1"]
+        assert main([*argv, "--circuits", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --circuits 11 needs about ") and "physical memory" in captured.err
+        assert main([*argv, "--circuits", "10", "--json"]) == 0
+
+    def test_huge_circuit_count_is_refused_before_drawing(self, capsys, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("fuzz drew a circuit")
+
+        monkeypatch.setattr(cliffsim.cli, "run_fuzz", refuse)
+        assert main(["fuzz", "--circuits", str(10**15)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --circuits {10**15} needs about ") and captured.err.count("\n") == 1
 
     def test_huge_depth_is_refused_before_drawing(self):
         # in a process with a 256 MiB address space, so that a missing refusal fails fast instead of thrashing

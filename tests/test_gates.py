@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffsim.circuit import Circuit, GateOp, run_clifford
+from cliffsim.circuit import Circuit, GateOp
 from cliffsim.gates import (
     _BLOCK,
     GATE_SPECS,
@@ -29,6 +29,7 @@ from cliffsim.gates import (
     gate_words,
     is_unitary,
     ketbra,
+    run_clifford,
     super_tensor,
     wire_coordinates,
 )
@@ -36,6 +37,7 @@ from cliffsim.matrix_backend import random_circuit, random_unitary_2x2, run_matr
 from cliffsim.multivector import PRUNE_EPS, Multivector, exp_element, hermitian_inner
 from cliffsim.witt import (
     WittContext,
+    _pauli_string,
     amplitudes_to_state,
     basis_state,
     index_bits,
@@ -93,6 +95,16 @@ def random_params(rng, spec):
     return tuple(float(x) for e in (u[0, 0], u[0, 1], u[1, 0], u[1, 1]) for x in (e.real, e.imag))
 
 
+def pauli_element(value):
+    """The element ``value`` of the 2n-generator algebra as a gate: each blade as its Pauli string, phase kept."""
+    n = value.dim // 2
+    rows = []
+    for mask, coeff in value.terms.items():
+        x, z, phase = _pauli_string(mask, n)
+        rows.append((x, z, coeff * phase))
+    return GateElement(n, tuple(rows))
+
+
 @pytest.fixture
 def ctx1():
     return WittContext(1)
@@ -135,7 +147,7 @@ class TestSingleQubitGoldenForms:
         xz = build_gate(ctx1, "x", (1,)).value * build_gate(ctx1, "z", (1,)).value
         assert xz.terms == (ctx1.fdag(1) - ctx1.f(1)).terms
         # Z negates |1>, then X flips it: XZ|1> = -|0>
-        flipped = apply(GateElement.from_blades(xz), basis_state(ctx1, [1]))
+        flipped = apply(pauli_element(xz), basis_state(ctx1, [1]))
         assert flipped.value.terms == (-basis_state(ctx1, [0]).value).terms
 
     def test_involutions(self, ctx1):
@@ -434,7 +446,7 @@ class TestUnitarity:
         assert is_unitary(build_gate(ctx1, "x", (1,)))
 
     def test_bare_witt_element_is_not(self, ctx1):
-        assert not is_unitary(GateElement.from_blades(ctx1.f(1)))
+        assert not is_unitary(pauli_element(ctx1.f(1)))
 
     @pytest.mark.parametrize("bad", [math.nan, complex(0, math.nan), math.inf])
     @pytest.mark.parametrize("row", [0, 1])
@@ -469,7 +481,7 @@ class TestUnitarity:
             total = ctx2.one()
             for op in circuit.ops:
                 total = build_gate(ctx2, op.name, op.wires, op.params).value * total
-            assert is_unitary(GateElement.from_blades(total))
+            assert is_unitary(pauli_element(total))
 
     def test_hermitian_product_preserved(self, ctx2):
         rng = np.random.default_rng(127)
@@ -575,13 +587,13 @@ class TestApplication:
             blade = Multivector(ctx.dim, {mask: 1.0})
             for k in indices:
                 basis = basis_state(ctx, index_bits(k, n))
-                got = apply(GateElement.from_blades(blade), basis).value
+                got = apply(pauli_element(blade), basis).value
                 assert got.max_coeff_diff(blade * basis.value) <= 1e-15, (mask, k)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 13, 20, 32])
     def test_pauli_string_closed_form(self, n):
         # the closed-form Jordan-Wigner map against composing the generators' strings one by one
-        from cliffsim.witt import _blade_mask, _pauli_string
+        from cliffsim.witt import _blade_mask
 
         def reference(mask):
             # e_j (wire j <= n) is Z_1 ... Z_{j-1} X_j and e_{j+n} the same times -i Z_j;
@@ -632,16 +644,11 @@ class TestBladeForm:
             for name, spec in GATE_SPECS.items():
                 for wires in itertools.permutations(range(1, n + 1), spec.wires):
                     g = build_gate(ctx, name, wires, random_params(rng, spec))
-                    back = GateElement.from_blades(g.value)
+                    back = pauli_element(g.value)
                     assert back.n == n
                     assert back.paulis == g.paulis, (name, wires)
                     for state in states:
                         assert np.array_equal(apply(back, state).amplitudes, apply(g, state).amplitudes), (name, wires)
-
-    def test_from_blades_needs_a_qubit_algebra(self):
-
-        with pytest.raises(ValueError):
-            GateElement.from_blades(Multivector(3, {1: 1.0}))
 
 
 class TestRegistry:

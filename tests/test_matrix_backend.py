@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffsim.circuit import Circuit, GateOp, parse_circuit, run_clifford
-from cliffsim.gates import GATE_SPECS, apply_all, build_gate
+from cliffsim.circuit import Circuit, GateOp, parse_circuit
+from cliffsim.gates import GATE_SPECS, apply_all, build_gate, run_clifford
 from cliffsim.matrix_backend import (
     MAX_DENSE_QUBITS,
     compare_backends,

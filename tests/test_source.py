@@ -49,26 +49,21 @@ def test_readme_layout_names_only_what_exists():
     assert not missing, missing
 
 
-def test_private_names_cross_only_the_pinned_module_boundaries():
-    # A private name imported from a sibling module couples the two; these four are the kernel's seams.
-    allowed = {
-        ("circuit", "gates", "_apply_tables"),
-        ("circuit", "gates", "_gate_table"),
-        ("gates", "witt", "_pauli_string"),
-        ("gates", "witt", "_paulis_to_blades"),
-    }
+def test_no_module_imports_a_private_name_from_another():
+    # A private name imported from a sibling module couples the two: what one
+    # module needs of another is public.
     crossing = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and node.level:
                 crossing |= {(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")}
-    assert crossing <= allowed, sorted(crossing - allowed)
+    assert not crossing, sorted(crossing)
 
 
 # Public names that nothing outside their unit tests calls, each kept for a reason.
 UNCALLED_PUBLIC_NAMES = {
     "circuit.render_circuit": "ROADMAP item 8's fuzz shrinker writes its minimal .qc files with it",
-    "gates.ketbra": "ROADMAP item 13 keeps it: the outer product |a><b| as an algebra element",
+    "gates.ketbra": "the paper's Dirac formalism: the outer product |a><b| as an algebra element",
     "multivector.hermitian_inner": "witt.spinor_inner is tested against it",
     "witt.is_spinor": "membership in the spinor ideal",
 }
@@ -88,8 +83,9 @@ def _names(tree):
 
 
 def test_every_public_name_has_a_caller_beyond_its_unit_tests():
-    # A caller is any other top-level statement of the package, the benchmark
-    # or the acceptance suite; __init__ only re-exports, so it calls nothing.
+    # A public function, class, or method or property of a class, needs a
+    # caller: any other top-level statement of the package, the benchmark or
+    # the acceptance suite; __init__ only re-exports, so it calls nothing.
     root = SRC.parents[1]
     statements = [
         (path.stem, node, _names(node))
@@ -101,10 +97,11 @@ def test_every_public_name_has_a_caller_beyond_its_unit_tests():
     elsewhere = set().union(*(_names(ast.parse(p.read_text(), filename=str(p))) for p in outside))
     uncalled = set()
     for stem, node, _ in statements:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            callers = elsewhere.union(*(names for _, other, names in statements if other is not node))
-            if node.name not in callers:
-                uncalled.add(f"{stem}.{node.name}")
+        defs = [(node.name, node)] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{d.name}", d) for d in node.body if isinstance(d, ast.FunctionDef)]
+        callers = elsewhere.union(*(names for _, other, names in statements if other is not node))
+        uncalled |= {f"{stem}.{qual}" for qual, d in defs if not d.name.startswith("_") and d.name not in callers}
     assert uncalled == set(UNCALLED_PUBLIC_NAMES), (
         sorted(uncalled - set(UNCALLED_PUBLIC_NAMES)),
         sorted(set(UNCALLED_PUBLIC_NAMES) - uncalled),

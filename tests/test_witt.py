@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffsim.gates import GateElement
 from cliffsim.multivector import EQ_TOL, Multivector, hermitian_inner
 from cliffsim.witt import (
     SpinorState,
     WittContext,
+    _pauli_string,
     amplitudes_to_state,
     basis_state,
     index_bits,
@@ -314,7 +314,12 @@ class TestAmplitudes:
 
 def witt_coordinates(mv):
     """Witt coordinates of a multivector of the 2n-generator algebra, read from its Pauli table."""
-    return paulis_coordinates(mv.dim // 2, GateElement.from_blades(mv).paulis)
+    n = mv.dim // 2
+    rows = []
+    for mask, coeff in mv.terms.items():
+        x, z, phase = _pauli_string(mask, n)
+        rows.append((x, z, coeff * phase))
+    return paulis_coordinates(n, rows)
 
 
 class TestWittRendering:
