@@ -18,7 +18,7 @@ import numpy as np
 from .circuit import CircuitError, parse_bits, parse_circuit
 from .gates import build_gate, gate_spec, run_clifford
 from .matrix_backend import BACKEND_TOL, MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
-from .witt import MAX_QUBITS, WittContext, amplitudes_to_state, ket_coordinates, paulis_coordinates, render_witt
+from .witt import MAX_QUBITS, WittContext, amplitudes_to_state, ket_coordinates, paulis_coordinates, paulis_word_count, render_witt
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -32,6 +32,16 @@ _FUZZ_OP_BYTES = 456
 # Bytes that `fuzz --json` keeps to the end per circuit, its result and payload
 # entry: the tracemalloc peak over 2000 and 4000 default circuits, 1458 and 1404 B.
 _FUZZ_RESULT_BYTES = 1460
+
+# Bytes per circuit for each digit of `--seed` past the first, which a result keeps
+# in seed * 1_000_003 + i and in its JSON text: the tracemalloc peak per circuit
+# of `fuzz --json` grew by 2.44 B a digit, from 1481 B at 10 digits to 11234 B at 4000.
+_FUZZ_SEED_DIGIT_BYTES = 2.5
+
+# Words that `gate-dump` renders on its Witt line at most, counted before like
+# words merge: x on wire 16 (2^16 words) took 1.2 s and 72 MB peak RSS for 5 MB
+# of output, x on wire 17 (2^17 words) 2.5 s and 115 MB for 11 MB.
+_DUMP_WORDS = 100_000
 
 # Amplitudes per block of printed output: a block's Python objects and JSON
 # text take about 2 MiB.
@@ -156,24 +166,25 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    result_bytes = _FUZZ_RESULT_BYTES + _FUZZ_SEED_DIGIT_BYTES * (len(str(args.seed)) - 1)
     if not 1 <= args.max_qubits <= MAX_DENSE_QUBITS:
         problem = f"--max-qubits must be in 1..{MAX_DENSE_QUBITS}, got {args.max_qubits}"
     elif args.depth < 1:
         problem = f"--depth must be at least 1, got {args.depth}"
+    elif args.circuits < 1:
+        problem = f"--circuits must be at least 1, got {args.circuits}"
+    elif args.seed < 0:
+        problem = f"--seed must be non-negative, got {args.seed}"
     elif args.depth * _FUZZ_OP_BYTES > _physical_memory():
         problem = (
             f"--depth {args.depth} needs about {args.depth * _FUZZ_OP_BYTES / 2**30:.3g} GiB for one circuit, "
             f"more than the {_physical_memory() / 2**30:.3g} GiB of physical memory"
         )
-    elif args.circuits < 1:
-        problem = f"--circuits must be at least 1, got {args.circuits}"
-    elif args.circuits * _FUZZ_RESULT_BYTES > _physical_memory():
+    elif args.circuits * result_bytes > _physical_memory():
         problem = (
-            f"--circuits {args.circuits} needs about {args.circuits * _FUZZ_RESULT_BYTES / 2**30:.3g} GiB "
-            f"for its results, more than the {_physical_memory() / 2**30:.3g} GiB of physical memory"
+            f"--circuits {args.circuits} needs about {args.circuits * result_bytes / 2**30:.3g} GiB for its results "
+            f"at {result_bytes:.0f} B each, more than the {_physical_memory() / 2**30:.3g} GiB of physical memory"
         )
-    elif args.seed < 0:
-        problem = f"--seed must be non-negative, got {args.seed}"
     else:
         problem = None
     if problem:
@@ -268,6 +279,9 @@ def cmd_gate_dump(args: argparse.Namespace) -> int:
         # Without --qubits the register fits the wires, so a bad wire is the one refused.
         n = min(max(max(wires), 1), MAX_QUBITS) if args.qubits is None else args.qubits
         g = build_gate(WittContext(n), name, wires, params)
+        words = paulis_word_count(n, g.paulis)
+        if words > _DUMP_WORDS:
+            raise ValueError(f"the Witt line of {name} on wires {tuple(wires)} expands to {words} words, more than the {_DUMP_WORDS} that gate-dump renders")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -327,7 +327,7 @@ def is_unitary(g: GateElement) -> bool:
     value = g.value
     one = Multivector.scalar(value.dim, 1.0)
     dag = value.dagger()
-    return (dag * value).isclose(one, UNITARY_TOL) and (value * dag).isclose(one, UNITARY_TOL)
+    return (dag * value).max_coeff_diff(one) <= UNITARY_TOL and (value * dag).max_coeff_diff(one) <= UNITARY_TOL
 
 
 # -- registry -----------------------------------------------------------------------

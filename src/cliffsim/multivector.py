@@ -7,7 +7,7 @@ coefficient, pruned of entries below ``PRUNE_EPS``; a non-finite
 coefficient is never pruned.
 
 Every closeness check on algebra elements is ``nan_max(deviations) <= tol``
-or its form over two coefficient maps, ``max_abs_diff(x, y) <= tol``.  NaN
+or its form over two elements, ``x.max_coeff_diff(y) <= tol``.  NaN
 propagates through both, so a non-finite coefficient is never close to
 anything, itself included (|inf - inf| is NaN).
 
@@ -46,11 +46,6 @@ def nan_max(values: Iterable[float]) -> float:
         if v > worst:
             worst = v
     return worst
-
-
-def max_abs_diff(x: Mapping, y: Mapping) -> float:
-    """``nan_max`` of |x[k] - y[k]| over the keys of both maps, a missing key reading 0."""
-    return nan_max(abs(x.get(k, 0) - y.get(k, 0)) for k in x.keys() | y.keys())
 
 
 def _sign_mask(a: int) -> int:
@@ -196,12 +191,11 @@ class Multivector:
 
     # -- comparison ------------------------------------------------------------
 
-    def isclose(self, other: Multivector, tol: float = EQ_TOL) -> bool:
-        return self.dim == other.dim and max_abs_diff(self.terms, other.terms) <= tol
-
     def max_coeff_diff(self, other: Multivector) -> float:
+        """``nan_max`` of |x_A - y_A| over the blades of both, a missing blade reading 0."""
         self._check_compatible(other)
-        return max_abs_diff(self.terms, other.terms)
+        x, y = self.terms, other.terms
+        return nan_max(abs(x.get(m, 0) - y.get(m, 0)) for m in x.keys() | y.keys())
 
     # -- rendering ---------------------------------------------------------------
 

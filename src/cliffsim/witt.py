@@ -34,7 +34,7 @@ import operator
 
 import numpy as np
 
-from .multivector import PRUNE_EPS, Multivector
+from .multivector import EQ_TOL, PRUNE_EPS, Multivector
 
 MAX_QUBITS = 32
 
@@ -197,14 +197,16 @@ def _ket(ctx: WittContext, amplitudes: np.ndarray) -> Multivector:
 
 
 def _coordinates(ctx: WittContext, x: Multivector) -> np.ndarray | None:
-    """The amplitudes of x if the ket rebuilt from them is x to ``EQ_TOL`` per blade, else None.
+    """The amplitudes of x if the ket rebuilt from them is x to ``EQ_TOL`` per blade, else None (x of another algebra too).
 
     Blade m_k of X^k occurs in basis word k alone, there as 2^-n / phase_k: x I = x is decided without forming x I.
     """
     n = ctx.n
+    if x.dim != ctx.dim:
+        return None
     masks = (_blade_mask(k, 0, n) for k in range(2**n))
     amps = np.array([(2**n) * phase * x.coefficient(m) for m, phase in masks], dtype=complex)
-    return amps if _ket(ctx, amps).isclose(x) else None
+    return amps if _ket(ctx, amps).max_coeff_diff(x) <= EQ_TOL else None
 
 
 def basis_state(ctx: WittContext, bits: list[int] | tuple[int, ...]) -> SpinorState:
@@ -291,6 +293,11 @@ def paulis_coordinates(n: int, paulis) -> dict[tuple[int, ...], complex]:
         b = z ^ _below(x, n)
         terms.append((coeff, [_PAULI_WORDS[x >> i & 1, b >> i & 1] for i in range(n - 1, -1, -1)]))
     return _expand(terms)
+
+
+def paulis_word_count(n: int, paulis) -> int:
+    """Words that ``paulis_coordinates`` forms before like words merge: the sum over rows of 2^popcount(x | z ^ U(x))."""
+    return sum(1 << (x | (z ^ _below(x, n))).bit_count() for x, z, _ in paulis)
 
 
 def ket_coordinates(state: SpinorState) -> dict[tuple[int, ...], complex]:

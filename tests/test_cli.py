@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import cliffsim
+import cliffsim.circuit
 import cliffsim.cli
 import cliffsim.gates
 import cliffsim.matrix_backend
@@ -227,6 +228,22 @@ class TestRun:
         assert "line 1, column 8" in captured.err
         assert "physical memory" in captured.err
         path.write_text("qubits 2\nx 1\n")
+        assert main(["run", str(path)]) == 0
+
+    def test_lines_beyond_memory_exit_2_before_parsing(self, tmp_path, capsys, monkeypatch):
+        # each line may take _LINE_BYTES as a parsed op, so the unknown gate on the
+        # last line is never reached
+        memory = run_bytes(1)
+        monkeypatch.setattr(cliffsim.cli, "_physical_memory", lambda: memory)
+        fits = memory // cliffsim.circuit._LINE_BYTES
+        path = tmp_path / "long.qc"
+        path.write_text("qubits 1\n" + "h 1\n" * (fits - 1) + "nosuch 1")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {fits + 1}, column 1: the file's {fits + 1} lines need about ")
+        assert "physical memory" in captured.err
+        path.write_text("qubits 1\n" + "h 1\n" * (fits - 2) + "h 1")
         assert main(["run", str(path)]) == 0
 
     @pytest.mark.parametrize("backend", ["matrix", "both"])
@@ -564,6 +581,19 @@ class TestFuzz:
         assert captured.out == ""
         assert captured.err.startswith(f"error: --circuits {10**15} needs about ") and captured.err.count("\n") == 1
 
+    def test_long_seed_counts_toward_the_results(self, capsys, monkeypatch):
+        # each result keeps its seed, seed * 1_000_003 + i, so ten circuits that fit with a
+        # one-digit seed do not fit with a 4000-digit one
+        def refuse(**kwargs):
+            raise AssertionError("fuzz drew a circuit")
+
+        monkeypatch.setattr(cliffsim.cli, "_physical_memory", lambda: 10 * cliffsim.cli._FUZZ_RESULT_BYTES)
+        monkeypatch.setattr(cliffsim.cli, "run_fuzz", refuse)
+        assert main(["fuzz", "--json", "--circuits", "10", "--seed", "7" * 4000]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --circuits 10 needs about ") and "at 11458 B each" in captured.err
+
     def test_huge_depth_is_refused_before_drawing(self):
         # in a process with a 256 MiB address space, so that a missing refusal fails fast instead of thrashing
         resource = pytest.importorskip("resource")
@@ -686,6 +716,30 @@ class TestGateDump:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    def test_witt_line_over_the_word_budget_exits_2(self, capsys, monkeypatch):
+        # x on wire 3 of 4 expands to 2^3 words, on wire 4 to 2^4
+        monkeypatch.setattr(cliffsim.cli, "_DUMP_WORDS", 8)
+        assert main(["gate-dump", "x", "--wires", "3", "--qubits", "4"]) == 0
+        capsys.readouterr()
+        assert main(["gate-dump", "x", "--wires", "4"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: the Witt line of x on wires (4,) expands to 16 words, more than the 8 that gate-dump renders\n",
+        )
+
+    def test_widest_wire_is_refused_at_once(self):
+        # 2^32 words, which took minutes to render before the budget
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliffsim.cli", "gate-dump", "x", "--wires", "32"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=30,
+            check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: the Witt line of x on wires (32,) expands to 4294967296 words")
 
     def test_unknown_gate_exits_2(self, capsys):
         assert main(["gate-dump", "NoSuch"]) == 2

@@ -60,6 +60,47 @@ def test_no_module_imports_a_private_name_from_another():
     assert not crossing, sorted(crossing)
 
 
+# The package root's public names, each read from the root by the benchmark.
+# Everything else is imported from its module; bench/ changes apart from the
+# library, so these nine stay until it too reads them from their modules.
+ROOT_NAMES = {
+    "GATE_SPECS": "bench/tests/test_bench_gen.py draws gate names from the registry",
+    "WittContext": "bench/worker.py's traced run builds the register's context",
+    "apply": "bench/worker.py's traced run applies one gate at a time",
+    "basis_state": "bench/worker.py's traced run starts from |0...0>",
+    "build_gate": "bench/worker.py's traced run and bench/tests/test_bench_gen.py build gates",
+    "parse_circuit": "bench/worker.py and bench/harness.py parse each circuit",
+    "run_clifford": "bench/worker.py's untraced run",
+    "run_matrix": "bench/worker.py's oracle op and bench/harness.py's check",
+    "state_to_amplitudes": "bench/worker.py reads the amplitudes out",
+}
+
+
+def _root_reads(tree, modules):
+    """Names that ``tree`` reads from the package root: ``from cliffsim import a`` and ``cliffsim.a``."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "cliffsim" and not node.level:
+            reads |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id == "cliffsim") or (isinstance(base, ast.Attribute) and base.attr == "cliffsim"):
+                reads.add(node.attr)
+    return {name for name in reads if not name.startswith("_") and name not in modules}
+
+
+def test_package_root_keeps_only_what_the_benchmark_reads():
+    root = SRC.parents[1]
+    cliffsim = importlib.import_module("cliffsim")
+    public = {name for name, value in vars(cliffsim).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    extra, missing = sorted(public - set(ROOT_NAMES)), sorted(set(ROOT_NAMES) - public)
+    assert not extra and not missing, f"extra: {' '.join(extra)}; missing: {' '.join(missing)}"
+    modules = {path.stem for path in SRC.glob("*.py")}
+    read = set().union(*(_root_reads(ast.parse(p.read_text(), filename=str(p)), modules) for p in sorted((root / "bench").rglob("*.py"))))
+    # bench/ may stop reading a name before the root drops it, but never read one that the root lacks.
+    assert read <= set(ROOT_NAMES), f"bench/ reads from the root: {' '.join(sorted(read - set(ROOT_NAMES)))}"
+
+
 # Public names that nothing outside their unit tests calls, each kept for a reason.
 UNCALLED_PUBLIC_NAMES = {
     "circuit.render_circuit": "ROADMAP item 8's fuzz shrinker writes its minimal .qc files with it",

@@ -21,6 +21,7 @@ from cliffsim.witt import (
     is_spinor,
     ket_coordinates,
     paulis_coordinates,
+    paulis_word_count,
     render_witt,
     spinor_inner,
     state_to_amplitudes,
@@ -223,6 +224,11 @@ class TestIdealMembership:
             SpinorState(ctx, ctx.f(1))
         SpinorState(ctx, ctx.idempotent)  # fine
 
+    def test_element_of_another_algebra_is_not_spinor(self):
+        # A verdict, not the comparison's algebra-mismatch error.
+        assert not is_spinor(WittContext(2), Multivector.scalar(6, 1.0))
+        assert not is_spinor(WittContext(2), WittContext(3).idempotent)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_verdict_of_the_idempotent_product(self, n):
         # The defining test, x I = x, on kets and on kets with one blade moved by 1e-3.
@@ -232,7 +238,7 @@ class TestIdealMembership:
             x = amplitudes_to_state(ctx, rng.normal(size=2**n) + 1j * rng.normal(size=2**n)).value
             moved = x + Multivector(ctx.dim, {int(rng.integers(4**n)): 1e-3})
             for element, inside in ((x, True), (moved, False)):
-                by_product = (element * ctx.idempotent).isclose(element, EQ_TOL)
+                by_product = (element * ctx.idempotent).max_coeff_diff(element) <= EQ_TOL
                 assert is_spinor(ctx, element) == by_product == inside
 
     def test_state_requires_matching_algebra(self):
@@ -339,6 +345,16 @@ class TestWittRendering:
         assert render_witt(witt_coordinates(Multivector(ctx.dim))) == "0"
         z = ctx.proj0(1) - ctx.proj1(1)
         assert render_witt(witt_coordinates(z)) == "1 - 2 f1†f1"
+
+    def test_word_count_is_the_expansion_before_merging(self):
+        # one row's words never merge, so the count is the sum of the rows' coordinate counts
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 5):
+            for _ in range(20):
+                rows = [(int(rng.integers(2**n)), int(rng.integers(2**n)), complex(rng.normal(), 1.0)) for _ in range(4)]
+                count = paulis_word_count(n, rows)
+                assert count == sum(len(paulis_coordinates(n, [row])) for row in rows)
+                assert count >= len(paulis_coordinates(n, rows))
 
     def test_round_trip_against_products(self):
         # rebuilding from word coordinates reproduces the element
