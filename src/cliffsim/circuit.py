@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gates
 from .gates import GATE_SPECS, GateOpError, check_op, gate_spec
@@ -25,12 +26,11 @@ from .witt import MAX_QUBITS
 
 # Bytes that one line of a circuit file takes at most while it is parsed: the
 # tracemalloc peak per line over 10^5 and 2 * 10^5 lines of `u2 1 0.6 0.0 0.0
-# 0.8 0.0 0.8 0.6 0.0` was 592 B (262 B for `h 1`, 278 B for `cnot 1 2`).
+# 0.8 0.0 0.8 0.6 0.0` was 568 B (238 B for `h 1`, 254 B for `cnot 1 2`).
 _LINE_BYTES = 600
 
 
-@dataclass(frozen=True)
-class GateOp:
+class GateOp(NamedTuple):
     name: str
     wires: tuple[int, ...]
     params: tuple[float, ...] = ()
@@ -140,7 +140,7 @@ def parse_circuit(text: str, memory_bytes: int | None = None, max_qubits: int = 
             split = (GATE_SPECS.get(name) or gate_spec(name)).wires  # gate_spec only to refuse
             wire_words = words[1 : split + 1]
             try:
-                params = tuple(map(float, words[split + 1 :]))
+                params = tuple(map(float, words[split + 1 :])) if len(words) > split + 1 else ()
                 wires = tuple(map(int, wire_words)) if "".join(wire_words).isdecimal() else None
             except ValueError:
                 wires = None

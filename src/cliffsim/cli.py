@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import CircuitError, parse_bits, parse_circuit
 from .gates import build_gate, gate_spec, run_clifford
-from .matrix_backend import BACKEND_TOL, MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
+from .matrix_backend import BACKEND_TOL, FUZZ_SEED_STRIDE, MAX_DENSE_QUBITS, compare_backends, run_fuzz, run_matrix
 from .witt import MAX_QUBITS, WittContext, amplitudes_to_state, ket_coordinates, paulis_coordinates, paulis_word_count, render_witt
 
 EXIT_OK = 0
@@ -34,7 +34,7 @@ _FUZZ_OP_BYTES = 456
 _FUZZ_RESULT_BYTES = 1460
 
 # Bytes per circuit for each digit of `--seed` past the first, which a result keeps
-# in seed * 1_000_003 + i and in its JSON text: the tracemalloc peak per circuit
+# in seed * FUZZ_SEED_STRIDE + i and in its JSON text: the tracemalloc peak per circuit
 # of `fuzz --json` grew by 2.44 B a digit, from 1481 B at 10 digits to 11234 B at 4000.
 _FUZZ_SEED_DIGIT_BYTES = 2.5
 
@@ -167,6 +167,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     result_bytes = _FUZZ_RESULT_BYTES + _FUZZ_SEED_DIGIT_BYTES * (len(str(args.seed)) - 1)
+    # Python's limit on the digits of an int converted to text (0: none; absent before 3.10.7).
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not 1 <= args.max_qubits <= MAX_DENSE_QUBITS:
         problem = f"--max-qubits must be in 1..{MAX_DENSE_QUBITS}, got {args.max_qubits}"
     elif args.depth < 1:
@@ -175,6 +177,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         problem = f"--circuits must be at least 1, got {args.circuits}"
     elif args.seed < 0:
         problem = f"--seed must be non-negative, got {args.seed}"
+    elif digits and args.seed * FUZZ_SEED_STRIDE + args.circuits - 1 >= 10**digits:
+        # Each circuit seed is printed, and str() of one past the limit raises.
+        problem = f"--seed of {len(str(args.seed))} digits gives circuit seeds of more than {digits} digits, which cannot be printed"
     elif args.depth * _FUZZ_OP_BYTES > _physical_memory():
         problem = (
             f"--depth {args.depth} needs about {args.depth * _FUZZ_OP_BYTES / 2**30:.3g} GiB for one circuit, "

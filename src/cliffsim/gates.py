@@ -9,8 +9,8 @@ x masks, z masks and coefficients become three flat columns, then arrays;
 the gather indices and signs, which do not depend on the amplitudes, are
 formed at once for the batch (a whole small circuit, or a few blocks of
 2^14 output indices of one gate), and each gate then gathers, multiplies and
-sums its whole table; on a register of one block (n <= 14) each gate's sum is
-reduced straight into a new vector.  ``apply_all`` feeds the kernel from
+sums its whole table into the vector that the gate before it read (the
+caller's input is only read).  ``apply_all`` feeds the kernel from
 ``GateElement.paulis``, and ``run_clifford`` from a circuit's ops, through
 ``_gate_table``, with no ``GateElement`` and no row built; ``run_bytes`` is
 its peak memory.  ``apply`` is ``apply_all`` of one gate.
@@ -218,12 +218,14 @@ def _apply_tables(tables: Iterable[SpreadTable], state: SpinorState) -> SpinorSt
     into three flat columns and turned into arrays.  Per unit only the
     gather, the product and the sum over the table remain.  The sum runs in
     table order from +0.0, so each amplitude is the same sequence of
-    operations as one string at a time.
+    operations as one string at a time.  After the first two gates, each
+    gate's output is the vector that the gate before read.
 
-    Besides the input and output vectors, a run holds one batch: its tables
-    and starts, its three columns as lists and as arrays, its source, parity
-    and signed coefficients (32 bytes per entry, at most 4 * _BLOCK entries
-    unless one unit has more) and one unit's gather.
+    A run holds the caller's input until the first gate is done, then two
+    vectors of its own, plus one batch: its tables and starts, its three
+    columns as lists and as arrays, its source, parity and signed
+    coefficients (32 bytes per entry, at most 4 * _BLOCK entries unless one
+    unit has more) and one unit's gather.
     """
     ctx, amps = state.ctx, state.amplitudes
     # The caller's reference is its own: dropping this one frees an input the
@@ -234,7 +236,9 @@ def _apply_tables(tables: Iterable[SpreadTable], state: SpinorState) -> SpinorSt
     lane = np.arange(width)
     # Reused by every batch and grown only for a larger one: arrays allocated
     # afresh per batch were returned to the system and faulted in again.
-    work = None
+    work = out = None
+    # The caller's input is read-only and may still be in use: never an output.
+    owned = False
     for batch, starts in _batches(tables, size):
         counts = [len(coeffs) for _, _, _, coeffs in batch]
         xs = np.array([m[i] for m, x, _, _ in batch for i in x], np.int64).reshape(-1, 1)
@@ -258,25 +262,18 @@ def _apply_tables(tables: Iterable[SpreadTable], state: SpinorState) -> SpinorSt
         np.copyto(signed, coeff * 1.0)
         np.copyto(signed, coeff * -1.0, where=odd)
         row = 0
-        if width == size:
-            # One block: each unit is a whole gate, reduced into a new vector
-            # (axis 0, no dtype, out or keepdims, initial 0j: positional, as
-            # the keywords cost more than the sum of a small gate).
-            for t in counts:
-                terms = signed[row : row + t]
-                terms *= amps[source[row : row + t]]
-                amps = np.add.reduce(terms, 0, None, None, False, 0j)
-                row += t
-        else:
-            for start, t in zip(starts, counts):
-                if start == 0:
-                    out = np.empty_like(amps)
-                terms = signed[row : row + t]
-                terms *= amps[source[row : row + t]]
-                np.add.reduce(terms, axis=0, initial=0j, out=out[start : start + width])
-                row += t
-                if start + width == size:
-                    amps = out
+        for start, t in zip(starts, counts):
+            if out is None:
+                out = np.empty_like(amps)
+            terms = signed[row : row + t]
+            terms *= amps[source[row : row + t]]
+            # Positional (axis, dtype, out, keepdims, initial): keywords cost more than a small gate's sum.
+            np.add.reduce(terms, 0, None, out[start : start + width], False, 0j)
+            row += t
+            if start + width == size:
+                # The gate is done: the vector it read is the next gate's output, unless it is the caller's.
+                amps, out = out, (amps if owned else None)
+                owned = True
         # Hold one batch at a time: the next is taken from ``tables`` first.
         del batch, starts
     return SpinorState._wrap(ctx, amps)
@@ -285,17 +282,17 @@ def _apply_tables(tables: Iterable[SpreadTable], state: SpinorState) -> SpinorSt
 def run_bytes(n_qubits: int) -> int:
     """Estimated peak memory of `run_clifford`, and of `cliffsim run`, on an n-qubit register.
 
-    A run holds a gate's input and output amplitude vectors (16 * 2^n bytes
-    each) and one batch of the kernel's temporaries: the batch's tables and
-    their three flat columns (x masks, z masks, coefficients), and its source,
-    parity and signed coefficients at 32 bytes per entry, which take a fixed
-    few MiB whatever n (2 MiB for a batch of small gates, about 6 MiB for one
-    8-string gate).  `cliffsim run --json` writes its output a block at a
-    time.  Measured peak-RSS growth per run at n = 16..22 (Python 3.11,
-    numpy 2.4) was 2.05-2.8 vectors at n >= 18 and 5.1-5.3 one-MiB vectors
-    at n = 16, where the fixed part dominates; `cliffsim run --json` grew by
-    6.6 MiB at n = 16 and by 3.2 and 2.3 vectors at n = 18 and 20.  The
-    estimate is 4 vectors plus 8 MiB.
+    A run holds two amplitude vectors (16 * 2^n bytes each), a gate's input
+    and output, and one batch of the kernel's temporaries: the batch's tables
+    and their three flat columns (x masks, z masks, coefficients), and its
+    source, parity and signed coefficients at 32 bytes per entry, which take
+    a fixed few MiB whatever n (2 MiB for a batch of small gates, about 6 MiB
+    for one 8-string gate).  `cliffsim run --json` writes its output a block
+    at a time.  Peak-RSS growth of a ladder run (h, cnot and phase layers) in
+    a fresh process at n = 16, 17, then 18..22 (Python 3.11, numpy 2.4) was
+    5.0, 3.5, then 2.7 down to 2.06 vectors for `run_clifford`, and 5.4, 3.7,
+    then 2.8 down to 2.06 for `cliffsim run --json`.  The estimate is 4
+    vectors plus 8 MiB.
     """
     return 4 * 16 * 2**n_qubits + 8 * 2**20
 

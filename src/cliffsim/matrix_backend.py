@@ -19,6 +19,7 @@ from .multivector import nan_max
 
 MAX_DENSE_QUBITS = 12
 BACKEND_TOL = 1e-9  # the backends agree while max|d| of the amplitudes is below it
+FUZZ_SEED_STRIDE = 1_000_003  # circuit i of a fuzz run with seed s draws from s * FUZZ_SEED_STRIDE + i
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -209,7 +210,7 @@ def run_fuzz(
     """Differential sweep of random circuits across both backends."""
     results = []
     for i in range(circuits):
-        circuit_seed = seed * 1_000_003 + i
+        circuit_seed = seed * FUZZ_SEED_STRIDE + i
         rng = np.random.default_rng(circuit_seed)
         n = int(rng.integers(1, max_qubits + 1))
         depth = int(rng.integers(1, max_depth + 1))

@@ -277,6 +277,23 @@ class TestRoundTrip:
         assert parsed == circuit
         assert run_clifford(parsed).amplitudes.tobytes() == run_clifford(circuit).amplitudes.tobytes()
 
+    def test_parse_of_render_is_the_circuit(self):
+        # every op comes back a GateOp, a parameterless one with the default ()
+        ops = [GateOp("h", (1,)), GateOp("phase", (2,), (0.5,)), GateOp("ccnot", (3, 1, 2)), GateOp("swap", (2, 3), ())]
+        circuit = Circuit(3, tuple(ops))
+        parsed = parse_circuit(render_circuit(circuit))
+        assert parsed == circuit
+        assert [type(op) for op in parsed.ops] == [GateOp] * 4
+        assert [op.params for op in parsed.ops] == [(), (0.5,), (), ()]
+
+    def test_op_fields_cannot_be_assigned(self):
+        op = GateOp("phase", (1,), (0.5,))
+        for field, value in [("name", "x"), ("wires", (2,)), ("params", ())]:
+            with pytest.raises(AttributeError):
+                setattr(op, field, value)
+        assert op == GateOp("phase", (1,), (0.5,))
+        assert repr(op) == "GateOp(name='phase', wires=(1,), params=(0.5,))"
+
     def test_render_starts_with_header(self):
         circuit = Circuit(2, (GateOp("x", (2,)),))
         assert render_circuit(circuit).splitlines()[0] == "qubits 2"

@@ -594,6 +594,23 @@ class TestFuzz:
         assert captured.out == ""
         assert captured.err.startswith("error: --circuits 10 needs about ") and "at 11458 B each" in captured.err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_seed_too_long_to_print_exits_2(self, capsys, flags):
+        # circuit seed seed * 1_000_003 + i has six more digits than a seed of sevens,
+        # and str() refuses an int of more digits than the interpreter's limit
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not digits:
+            pytest.skip("this interpreter prints an int of any length")
+        argv = ["fuzz", *flags, "--circuits", "1", "--max-qubits", "2", "--depth", "2", "--seed"]
+        assert main([*argv, "7" * (digits - 5)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --seed of {digits - 5} digits gives circuit seeds of more than {digits} digits, which cannot be printed\n"
+        )
+        assert main([*argv, "7" * (digits - 6)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_huge_depth_is_refused_before_drawing(self):
         # in a process with a 256 MiB address space, so that a missing refusal fails fast instead of thrashing
         resource = pytest.importorskip("resource")

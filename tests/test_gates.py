@@ -882,3 +882,39 @@ class TestFrontEnds:
             assert len(list(_batches(_element_tables(gates, n), 2**n))) > 1
         expected = apply_all(gates, basis_state(ctx, (0,) * n)).amplitudes
         assert run_clifford(circuit).amplitudes.tobytes() == expected.tobytes()
+
+
+class TestReusedVector:
+    """After its second gate a run writes each gate into the vector that the gate before read; the caller's input is only read."""
+
+    # n = 14 is one block per gate, 15 and 16 two and four; an odd and an even
+    # count of gates end in either of the run's two vectors.
+    @pytest.mark.parametrize("n", [14, 15, 16])
+    @pytest.mark.parametrize("parity", [1, 0])
+    def test_run_clifford_equals_chained_one_gate_applies(self, n, parity):
+        depth = 8 if (n + 8) % 2 == parity else 9
+        drawn = random_circuit(np.random.default_rng(5000 + 2 * n + parity), n, depth)
+        # an h layer first, so that every amplitude the gates read is nonzero
+        circuit = Circuit(n, tuple(GateOp("h", (w,)) for w in range(1, n + 1)) + drawn.ops)
+        assert len(circuit.ops) % 2 == parity
+        ctx = WittContext(n)
+        state = basis_state(ctx, (0,) * n)
+        for op in circuit.ops:
+            # one gate per call, so no vector is reused
+            state = apply(build_gate(ctx, op.name, op.wires, op.params), state)
+        assert run_clifford(circuit).amplitudes.tobytes() == state.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 15])
+    def test_inputs_keep_their_bytes_and_stay_read_only(self, n):
+        rng = np.random.default_rng(6000 + n)
+        ctx = WittContext(n)
+        gs = [build_gate(ctx, op.name, op.wires, op.params) for op in random_circuit(rng, n, 5).ops]
+        s0 = amplitudes_to_state(ctx, random_amplitudes(rng, n))
+        before = s0.amplitudes.tobytes()
+        s1 = apply_all(gs, s0)
+        middle = s1.amplitudes.tobytes()
+        s2 = apply_all(gs, s1)
+        assert s0.amplitudes.tobytes() == before and s1.amplitudes.tobytes() == middle
+        assert not any(s.amplitudes.flags.writeable for s in (s0, s1, s2))
+        assert middle == chained_per_string_apply(gs, s0).tobytes()
+        assert s2.amplitudes.tobytes() == chained_per_string_apply(gs, s1).tobytes()
